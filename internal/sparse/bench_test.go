@@ -23,17 +23,70 @@ func benchSelector(n, rows int) *CSR {
 	return coo.ToCSR()
 }
 
+// stageSelectors splits the one-hot selector q by column block into
+// stages row-aligned parts, as the 1.5D stage loop does: each row's
+// single entry lands in exactly one part.
+func stageSelectors(q *CSR, stages int) []*CSR {
+	width := (q.Cols + stages - 1) / stages
+	parts := make([]*CSR, stages)
+	for t := range parts {
+		parts[t] = &CSR{Rows: q.Rows, Cols: q.Cols, RowPtr: make([]int, 1, q.Rows+1)}
+	}
+	for i := 0; i < q.Rows; i++ {
+		cs, vs := q.Row(i)
+		for k, c := range cs {
+			p := parts[c/width]
+			p.ColIdx = append(p.ColIdx, c)
+			p.Val = append(p.Val, vs[k])
+		}
+		for _, p := range parts {
+			p.RowPtr = append(p.RowPtr, len(p.ColIdx))
+		}
+	}
+	return parts
+}
+
 func BenchmarkSpGEMMSelector(b *testing.B) {
 	a := benchGraph(b, 10000, 16)
 	q := benchSelector(10000, 2048)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SpGEMM(q, a)
 	}
 }
 
+func BenchmarkScratchSpGEMMSelector(b *testing.B) {
+	a := benchGraph(b, 10000, 16)
+	q := benchSelector(10000, 2048)
+	var ws Scratch
+	var out CSR
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.SpGEMM(&out, q, a)
+	}
+}
+
+func BenchmarkMergeCSRIntoSelector(b *testing.B) {
+	a := benchGraph(b, 10000, 16)
+	parts := stageSelectors(benchSelector(10000, 2048), 4)
+	prods := make([]*CSR, len(parts))
+	for t, qt := range parts {
+		prods[t], _ = SpGEMM(qt, a)
+	}
+	var ws Scratch
+	var out CSR
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.MergeCSRInto(&out, prods)
+	}
+}
+
 func BenchmarkSpGEMMSquare(b *testing.B) {
 	a := benchGraph(b, 2000, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SpGEMM(a, a)

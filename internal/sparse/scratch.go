@@ -18,8 +18,8 @@ import "fmt"
 //
 //gnnvet:arena
 type Scratch struct {
-	// sparse accumulator for SpGEMM, sized to the widest right
-	// operand seen.
+	// sparse accumulator for SpGEMM and MergeCSRInto, sized to the
+	// widest operand seen; allocated on the first row that needs it.
 	acc *spa
 
 	// mark/out buffers for NonzeroCols.
@@ -145,9 +145,12 @@ func AddCSRInto(out, a, b *CSR) *CSR {
 // MergeCSRInto sums row-aligned matrices into out, reusing out's
 // storage: per (row, column) the values add in source order — exactly
 // the float sequence of left-folding the sources with AddCSR — and
-// each row's columns come out sorted. One SPA pass per row replaces
-// the chain of pairwise merges (and the chain's intermediate
-// allocations) with a single output write.
+// each row's columns come out sorted. A row that only one source
+// populates is copied as 0 + v, which is what the accumulator yields
+// for it (the 1.5D stage loop's one-hot sampler blocks make this every
+// row); other rows take one SPA pass, which replaces the chain of
+// pairwise merges (and the chain's intermediate allocations) with a
+// single output write.
 func (s *Scratch) MergeCSRInto(out *CSR, srcs []*CSR) *CSR {
 	if len(srcs) == 0 {
 		panic("sparse: MergeCSRInto needs at least one source")
@@ -160,68 +163,67 @@ func (s *Scratch) MergeCSRInto(out *CSR, srcs []*CSR) *CSR {
 		}
 		total += src.NNZ()
 	}
-	if s.acc == nil || len(s.acc.val) < colsN {
-		s.acc = newSPA(colsN)
-	}
 	out.Rows, out.Cols = rows, colsN
 	out.RowPtr = ensureInts(out.RowPtr, rows+1)
 	out.RowPtr[0] = 0
 	cols := ensureInts(out.ColIdx, total)[:0]
 	vals := ensureFloats(out.Val, total)[:0]
-	acc := s.acc
 	for i := 0; i < rows; i++ {
+		var only *CSR
+		nonempty := 0
 		for _, src := range srcs {
-			cs, vs := src.Row(i)
-			for k := range cs {
-				acc.add(cs[k], vs[k])
+			if src.RowNNZ(i) > 0 {
+				only = src
+				nonempty++
 			}
 		}
-		cols, vals = acc.drainInto(cols, vals)
+		switch nonempty {
+		case 0:
+		case 1:
+			cs, vs := only.Row(i)
+			cols = append(cols, cs...)
+			for _, v := range vs {
+				vals = append(vals, 0+v)
+			}
+		default:
+			s.acc = ensureSPA(s.acc, colsN)
+			for _, src := range srcs {
+				cs, vs := src.Row(i)
+				for k := range cs {
+					s.acc.add(cs[k], vs[k])
+				}
+			}
+			cols, vals = s.acc.drainInto(cols, vals)
+		}
 		out.RowPtr[i+1] = len(cols)
 	}
 	out.ColIdx, out.Val = cols, vals
 	return out
 }
 
-// SpGEMM computes C = A * B into the workspace, single-threaded with
-// the workspace's sparse accumulator — the arena form of the package
-// SpGEMM. Row results are bit-identical to the parallel version (rows
-// are independent there; per row the accumulation order is the same),
-// and the returned flop count follows the same bound. The result
+// SpGEMM computes C = A * B into the workspace, single-threaded
+// through the package SpGEMM's row kernel — the arena form of the
+// package SpGEMM. Rows are bit-identical to the parallel version, and
+// the returned flop count is the same modeled bound. The result
 // aliases the workspace.
 func (s *Scratch) SpGEMM(out *CSR, a, b *CSR) (*CSR, int64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("sparse: SpGEMM dimension mismatch %dx%d * %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	bound := 0
-	for i := 0; i < a.Rows; i++ {
-		acols, _ := a.Row(i)
-		for _, arow := range acols {
-			bound += b.RowNNZ(arow)
-		}
-	}
-	if s.acc == nil || len(s.acc.val) < b.Cols {
-		s.acc = newSPA(b.Cols)
-	}
+	bound := int(SpGEMMFlops(a, b))
 	out.Rows, out.Cols = a.Rows, b.Cols
 	out.RowPtr = ensureInts(out.RowPtr, a.Rows+1)
 	out.RowPtr[0] = 0
 	cols := ensureInts(out.ColIdx, bound)[:0]
 	vals := ensureFloats(out.Val, bound)[:0]
-	acc := s.acc
+	k := gustavson{b: b, acc: s.acc}
 	for i := 0; i < a.Rows; i++ {
 		acols, avals := a.Row(i)
-		for k := range acols {
-			av := avals[k]
-			bcols, bvals := b.Row(acols[k])
-			for t := range bcols {
-				acc.add(bcols[t], av*bvals[t])
-			}
-		}
-		cols, vals = acc.drainInto(cols, vals)
+		cols, vals = k.appendRow(cols, vals, acols, avals)
 		out.RowPtr[i+1] = len(cols)
 	}
+	s.acc = k.acc
 	out.ColIdx, out.Val = cols, vals
 	return out, int64(bound)
 }

@@ -7,10 +7,12 @@ import (
 )
 
 // SpGEMM computes C = A * B for sparse A and B using Gustavson's
-// row-wise algorithm with a sparse accumulator, parallelized over row
-// blocks of A. The returned flop count is the number of scalar
-// multiply-add pairs performed, which the cluster cost model uses to
-// charge simulated device time.
+// row-wise algorithm, parallelized over row blocks of A. The returned
+// flop count is the modeled Gustavson multiply-add count — one per
+// (A nonzero, B row nonzero) pair, SpGEMMFlops(a, b) — which the
+// cluster cost model charges as simulated device time. It is not the
+// host's work: rows of A with a single nonzero are copied from B
+// without an accumulator, and that shortcut leaves the count unchanged.
 func SpGEMM(a, b *CSR) (c *CSR, flops int64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("sparse: SpGEMM dimension mismatch %dx%d * %dx%d",
@@ -23,18 +25,18 @@ func SpGEMM(a, b *CSR) (c *CSR, flops int64) {
 	if workers < 1 {
 		workers = 1
 	}
-	// Each worker drains its rows into one growing arena instead of a
-	// pair of fresh slices per row: the two allocations per output row
-	// were among the simulator's top allocation sites.
-	type arena struct {
-		lo, hi int
-		cols   []int
-		vals   []float64
-		ends   []int // arena offset of each row's end, relative to lo
-		flops  int64
+	// Every worker writes its rows straight into one shared output,
+	// sized by the flop bound (collisions only shrink a row): worker w
+	// owns the capped region [start, start+bound) and fills a prefix
+	// of it.
+	type segment struct {
+		lo, hi       int // A rows
+		start, bound int // output region
+		n            int // entries written
 	}
 	chunk := (a.Rows + workers - 1) / workers
-	arenas := make([]arena, 0, workers)
+	segs := make([]segment, 0, workers)
+	total := 0
 	for w := 0; w < workers; w++ {
 		lo, hi := w*chunk, (w+1)*chunk
 		if hi > a.Rows {
@@ -43,79 +45,97 @@ func SpGEMM(a, b *CSR) (c *CSR, flops int64) {
 		if lo >= hi {
 			break
 		}
-		// The flop count bounds the arena's output size (collisions
-		// only shrink it), so one up-front sizing pass over the row
-		// pointers avoids every growth reallocation.
-		bound := 0
-		for i := lo; i < hi; i++ {
-			acols, _ := a.Row(i)
-			for _, arow := range acols {
-				bound += b.RowNNZ(arow)
-			}
-		}
-		// bound is also the arena's exact flop count: one multiply-add
-		// per (a-nonzero, b-row-nonzero) pair.
-		arenas = append(arenas, arena{lo: lo, hi: hi, flops: int64(bound),
-			cols: make([]int, 0, bound), vals: make([]float64, 0, bound),
-			ends: make([]int, 0, hi-lo)})
+		bound := int(rowsFlops(a, b, lo, hi))
+		segs = append(segs, segment{lo: lo, hi: hi, start: total, bound: bound})
+		total += bound
 	}
+	out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1),
+		ColIdx: make([]int, total), Val: make([]float64, total)}
 	var wg sync.WaitGroup
-	for w := range arenas {
+	for w := range segs {
 		wg.Add(1)
-		go func(ar *arena) {
+		go func(sg *segment) {
 			defer wg.Done()
-			acc := newSPA(b.Cols)
-			for i := ar.lo; i < ar.hi; i++ {
+			k := gustavson{b: b}
+			end := sg.start + sg.bound
+			cols := out.ColIdx[sg.start:sg.start:end]
+			vals := out.Val[sg.start:sg.start:end]
+			for i := sg.lo; i < sg.hi; i++ {
 				acols, avals := a.Row(i)
-				for k := range acols {
-					av := avals[k]
-					bcols, bvals := b.Row(acols[k])
-					for t := range bcols {
-						acc.add(bcols[t], av*bvals[t])
-					}
-				}
-				ar.cols, ar.vals = acc.drainInto(ar.cols, ar.vals)
-				ar.ends = append(ar.ends, len(ar.cols))
+				cols, vals = k.appendRow(cols, vals, acols, avals)
+				out.RowPtr[i+1] = sg.start + len(cols)
 			}
-		}(&arenas[w])
+			sg.n = len(cols)
+		}(&segs[w])
 	}
 	wg.Wait()
 
-	total := 0
-	for w := range arenas {
-		total += len(arenas[w].cols)
-		flops += arenas[w].flops
-	}
-	if len(arenas) == 1 {
-		// Single worker (small input or GOMAXPROCS=1): adopt the arena
-		// wholesale instead of copying it into a fresh matrix.
-		ar := &arenas[0]
-		out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1),
-			ColIdx: ar.cols, Val: ar.vals}
-		for r, end := range ar.ends {
-			out.RowPtr[r+1] = end
+	// Close the gaps collisions left between segments. A product whose
+	// rows never collide (every one-hot sampler row) fills each region
+	// exactly, and nothing moves.
+	n := 0
+	for w := range segs {
+		sg := &segs[w]
+		if shift := sg.start - n; shift > 0 {
+			copy(out.ColIdx[n:], out.ColIdx[sg.start:sg.start+sg.n])
+			copy(out.Val[n:], out.Val[sg.start:sg.start+sg.n])
+			for i := sg.lo; i < sg.hi; i++ {
+				out.RowPtr[i+1] -= shift
+			}
 		}
-		return out, flops
+		n += sg.n
 	}
-	out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int, 0, total), Val: make([]float64, 0, total)}
-	for w := range arenas {
-		ar := &arenas[w]
-		base := len(out.ColIdx)
-		out.ColIdx = append(out.ColIdx, ar.cols...)
-		out.Val = append(out.Val, ar.vals...)
-		for r, end := range ar.ends {
-			out.RowPtr[ar.lo+r+1] = base + end
+	out.ColIdx, out.Val = out.ColIdx[:n], out.Val[:n]
+	return out, int64(total)
+}
+
+// gustavson is the row kernel shared by SpGEMM and Scratch.SpGEMM: it
+// computes one row of A*B for a fixed right operand b, holding a
+// sparse accumulator that is allocated on the first row needing one.
+type gustavson struct {
+	b   *CSR
+	acc *spa
+}
+
+// appendRow appends the product of the A row (acols, avals) with b to
+// cols/vals. A row with a single nonzero av at column k emits b's row
+// k as 0 + av*b[k,j]: exactly what the accumulator produces, since
+// every slot starts at +0 (so −0 becomes +0 and explicit zeros stay)
+// and b's strictly increasing columns are the sorted drain. Rows with
+// more nonzeros scatter through the accumulator.
+func (g *gustavson) appendRow(cols []int, vals []float64, acols []int, avals []float64) ([]int, []float64) {
+	switch len(acols) {
+	case 0:
+		return cols, vals
+	case 1:
+		av := avals[0]
+		bcols, bvals := g.b.Row(acols[0])
+		cols = append(cols, bcols...)
+		for _, bv := range bvals {
+			vals = append(vals, 0+av*bv)
+		}
+		return cols, vals
+	}
+	g.acc = ensureSPA(g.acc, g.b.Cols)
+	for k := range acols {
+		av := avals[k]
+		bcols, bvals := g.b.Row(acols[k])
+		for t := range bcols {
+			g.acc.add(bcols[t], av*bvals[t])
 		}
 	}
-	return out, flops
+	return g.acc.drainInto(cols, vals)
 }
 
 // SpGEMMFlops returns the flop count of A*B without forming the
 // product. Used for symbolic cost estimation.
-func SpGEMMFlops(a, b *CSR) int64 {
+func SpGEMMFlops(a, b *CSR) int64 { return rowsFlops(a, b, 0, a.Rows) }
+
+// rowsFlops is the flop count of rows [lo, hi) of A*B — also the bound
+// on those rows' output entries, since collisions only merge entries.
+func rowsFlops(a, b *CSR, lo, hi int) int64 {
 	var flops int64
-	for i := 0; i < a.Rows; i++ {
+	for i := lo; i < hi; i++ {
 		cols, _ := a.Row(i)
 		for _, c := range cols {
 			flops += int64(b.RowNNZ(c))
@@ -136,6 +156,14 @@ func newSPA(n int) *spa {
 	return &spa{val: make([]float64, n), present: make([]bool, n)}
 }
 
+// ensureSPA returns s if it covers n columns, else a fresh accumulator.
+func ensureSPA(s *spa, n int) *spa {
+	if s == nil || len(s.val) < n {
+		return newSPA(n)
+	}
+	return s
+}
+
 func (s *spa) add(j int, v float64) {
 	if !s.present[j] {
 		s.present[j] = true
@@ -145,8 +173,8 @@ func (s *spa) add(j int, v float64) {
 }
 
 // drainInto appends the accumulated (sorted) columns and values to the
-// given buffers and resets the accumulator — the allocation-free form
-// SpGEMM's per-worker arenas use.
+// given buffers and resets the accumulator, so callers can write rows
+// straight into preallocated output.
 func (s *spa) drainInto(cols []int, vals []float64) ([]int, []float64) {
 	base := len(cols)
 	cols = append(cols, s.idx...)
