@@ -1,10 +1,12 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/datasets"
+	"repro/internal/pipeline"
 )
 
 func TestRunQuiverBasic(t *testing.T) {
@@ -19,6 +21,11 @@ func TestRunQuiverBasic(t *testing.T) {
 	}
 	if res.Params == nil {
 		t.Fatal("no trained parameters")
+	}
+	// The baseline is the replicated schedule with c=1 and one
+	// minibatch per rank per round.
+	if res.Cfg.C != 1 || res.Cfg.K != 4 || res.EffectiveK != 4 {
+		t.Fatalf("Cfg c=%d k=%d, EffectiveK %d; want 1, 4, 4 at p=4", res.Cfg.C, res.Cfg.K, res.EffectiveK)
 	}
 }
 
@@ -51,8 +58,6 @@ func TestQuiverPaysPerBatchKernelOverheads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := res.Cfg // zero; just ensure struct accessible
-	_ = model
 	minKernelTime := float64(d.NumBatches()*2*4) * 10e-6 // layers x ~4 kernels
 	if res.LastEpoch().Sampling < minKernelTime {
 		t.Fatalf("sampling %v below kernel floor %v", res.LastEpoch().Sampling, minKernelTime)
@@ -104,10 +109,43 @@ func TestBytesHelpers(t *testing.T) {
 	}
 }
 
-func TestRunQuiverRejectsZeroP(t *testing.T) {
+// Bad configuration is an error from either entry point, returned by
+// the shared driver's validation before any rank starts — never a
+// panic inside a rank goroutine, which would kill the process.
+func TestBadConfigIsAnError(t *testing.T) {
 	d := datasets.ProductsLike(datasets.Tiny)
-	if _, err := RunQuiver(d, QuiverConfig{P: 0}); err == nil {
-		t.Fatal("expected error for p=0")
+	cases := []struct {
+		name   string
+		pipe   *pipeline.Config
+		quiver *QuiverConfig
+	}{
+		{"p=0", &pipeline.Config{P: 0}, &QuiverConfig{P: 0}},
+		{"p=-2", &pipeline.Config{P: -2}, &QuiverConfig{P: -2}},
+		{"epochs=-1", &pipeline.Config{P: 2, Epochs: -1}, &QuiverConfig{P: 2, Epochs: -1}},
+		{"hidden=-1", &pipeline.Config{P: 2, Hidden: -1}, &QuiverConfig{P: 2, Hidden: -1}},
+		{"layers=-1", &pipeline.Config{P: 2, Layers: -1}, nil},
+		{"dropout=1", &pipeline.Config{P: 2, Dropout: 1}, nil},
+		{"dropout=-0.1", &pipeline.Config{P: 2, Dropout: -0.1}, nil},
+		{"dropout=NaN", &pipeline.Config{P: 2, Dropout: math.NaN()}, nil},
+		{"c=3 p=4", &pipeline.Config{P: 4, C: 3}, nil},
+		{"partitioned c=2 p=6", &pipeline.Config{P: 6, C: 2, Algorithm: pipeline.GraphPartitioned}, nil},
+		{"ckpt=-1", &pipeline.Config{P: 2, CkptInterval: -1}, &QuiverConfig{P: 2, CkptInterval: -1}},
+	}
+	for _, c := range cases {
+		if c.pipe != nil {
+			t.Run("pipeline "+c.name, func(t *testing.T) {
+				if _, err := pipeline.Run(d, *c.pipe); err == nil {
+					t.Fatalf("pipeline.Run accepted %+v", *c.pipe)
+				}
+			})
+		}
+		if c.quiver != nil {
+			t.Run("quiver "+c.name, func(t *testing.T) {
+				if _, err := RunQuiver(d, *c.quiver); err == nil {
+					t.Fatalf("RunQuiver accepted %+v", *c.quiver)
+				}
+			})
+		}
 	}
 }
 
@@ -131,26 +169,41 @@ func TestQuiverLossAggregatesAcrossRanksUnevenBatches(t *testing.T) {
 
 // Golden values captured on the pre-refactor code: the pluggable
 // collective-algorithm layer must keep the default (FlatTree) Quiver
-// baseline bit-identical in simulated time and loss.
+// baseline bit-identical in simulated time and loss. The per-phase
+// values — including the UVA row, the only golden of UVA charging —
+// were captured before the baseline moved onto the pipeline's shared
+// driver, and pin that the move changed no charge.
 func TestGoldenQuiverBitIdentical(t *testing.T) {
 	d := datasets.SBM(datasets.SBMConfig{
 		N: 512, Classes: 4, Features: 8,
 		IntraDeg: 10, InterDeg: 2, Noise: 0.5,
 		BatchSize: 32, Fanouts: []int{5, 3}, LayerWidth: 32, Seed: 7,
 	})
-	for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-		res, err := RunQuiver(d, QuiverConfig{P: 4, Epochs: 2, Seed: 5, MaxBatches: 8, Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := res.Cluster.SimTime, 0.00085561327706666656; got != want {
-			t.Errorf("%v: SimTime = %.17g, want %.17g", be, got, want)
-		}
-		if got, want := res.LastEpoch().Total, 0.00064173826279999985; got != want {
-			t.Errorf("%v: Total = %.17g, want %.17g", be, got, want)
-		}
-		if got, want := res.LastEpoch().Loss, 0.2484752598843977; got != want {
-			t.Errorf("%v: Loss = %.17g, want %.17g", be, got, want)
+	golden := []struct {
+		name string
+		uva  bool
+		want [8]float64 // SimTime, Total, Loss, Sampling, FeatureFetch, Propagation, SamplingComm, FetchComm
+	}{
+		{"gpu", false, [8]float64{0.00085561327706666656, 0.00064173826279999985, 0.2484752598843977,
+			0.00030138847499999998, 7.2856974999999948e-05, 0.00026749281279999997, 0, 7.2671294999999956e-05}},
+		{"uva", true, [8]float64{0.00093526337706666639, 0.0007014744127999998, 0.2484752598843977,
+			0.00033122017499999997, 0.00010276142499999983, 0.00026749281279999997, 3.0221999999999996e-05, 0.00010257574499999984}},
+	}
+	fields := []string{"SimTime", "Total", "Loss", "Sampling", "FeatureFetch", "Propagation", "SamplingComm", "FetchComm"}
+	for _, g := range golden {
+		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
+			res, err := RunQuiver(d, QuiverConfig{P: 4, UVA: g.uva, Epochs: 2, Seed: 5, MaxBatches: 8, Backend: be})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := res.LastEpoch()
+			got := [8]float64{res.Cluster.SimTime, e.Total, e.Loss,
+				e.Sampling, e.FeatureFetch, e.Propagation, e.SamplingComm, e.FetchComm}
+			for i := range got {
+				if got[i] != g.want[i] {
+					t.Errorf("%s/%v: %s = %.17g, want %.17g", g.name, be, fields[i], got[i], g.want[i])
+				}
+			}
 		}
 	}
 }

@@ -54,12 +54,6 @@ type Config struct {
 	// unset). The zero value keeps the paper's FlatTree forms.
 	Collectives cluster.Collectives
 
-	// HierAllReduce is sugar for Collectives.AllReduce =
-	// cluster.Hierarchical: the two-level (intra-node, then leaders)
-	// gradient all-reduce that keeps network traffic proportional to
-	// node count. An explicit Collectives.AllReduce selection wins.
-	HierAllReduce bool
-
 	// Topology selects the physical-link topology the simulated
 	// cluster charges under (set on Model.Topology): nil keeps the
 	// pure α–β model — no contention, bit-identical to the paper's
@@ -169,9 +163,6 @@ func (c Config) withDefaults(d *datasets.Dataset) Config {
 	if c.Model.GPUsPerNode == 0 {
 		c.Model = cluster.Perlmutter()
 	}
-	if c.HierAllReduce && c.Collectives.AllReduce == cluster.DefaultAlgorithm {
-		c.Collectives.AllReduce = cluster.Hierarchical
-	}
 	c.Model.Collectives = c.Model.Collectives.Merge(c.Collectives)
 	if c.Topology != nil {
 		c.Model.Topology = c.Topology
@@ -183,6 +174,39 @@ func (c Config) withDefaults(d *datasets.Dataset) Config {
 		c.Model.Faults = c.Faults
 	}
 	return c
+}
+
+// validate rejects a defaulted config that no run can simulate, before
+// any rank starts: bad input gives an error, never a panic in a rank.
+func (c Config) validate() error {
+	switch {
+	case c.P <= 0:
+		return fmt.Errorf("pipeline: need p > 0, got %d", c.P)
+	case c.P%c.C != 0:
+		return fmt.Errorf("pipeline: c=%d must divide p=%d", c.C, c.P)
+	case c.Algorithm == GraphPartitioned && (c.P/c.C)%c.C != 0:
+		return fmt.Errorf("pipeline: partitioned algorithm needs c^2 | p (p=%d c=%d)", c.P, c.C)
+	case c.Epochs < 0:
+		return fmt.Errorf("pipeline: negative epoch count %d", c.Epochs)
+	case c.Hidden < 0:
+		return fmt.Errorf("pipeline: negative hidden width %d", c.Hidden)
+	case c.Layers < 0:
+		return fmt.Errorf("pipeline: negative layer count %d", c.Layers)
+	case !(c.Dropout >= 0 && c.Dropout < 1):
+		return fmt.Errorf("pipeline: dropout rate %v outside [0, 1)", c.Dropout)
+	case c.CkptInterval < 0:
+		return fmt.Errorf("pipeline: negative checkpoint interval %d", c.CkptInterval)
+	}
+	for _, err := range []error{
+		c.Model.Collectives.Validate(),
+		c.Model.Topology.Validate(),
+		c.Model.Faults.Validate(c.P),
+	} {
+		if err != nil {
+			return fmt.Errorf("pipeline: %w", err)
+		}
+	}
+	return nil
 }
 
 // EpochStats is the per-epoch breakdown of Figure 4: simulated seconds
@@ -323,47 +347,33 @@ type trainItem struct {
 	feats *dense.Matrix
 }
 
-// newSampler maps the config's sampler name to its implementation.
-func newSampler(name string) core.Sampler {
-	switch name {
-	case "ladies":
-		return core.LADIES{}
-	case "fastgcn":
-		return core.FastGCN{}
-	default:
-		return core.SAGE{}
-	}
+// SampleRound draws, on rank r, the bulk sample for one round's chunk
+// of the rank's minibatches (round indexes the round in the epoch,
+// seed is the epoch's sampling seed). The driver reads the sample only
+// at minibatches the rank trains on, so an empty chunk may return nil.
+type SampleRound func(r *cluster.Rank, chunk [][]int, round int, seed int64) *core.BulkSample
+
+// Strategy is what one training strategy supplies to the shared driver
+// (RunStrategy); everything else — validation, the shared model and
+// optimizer, the per-attempt cluster, the epoch loop, the checkpoint
+// boundary, the propagation stage, the restart loop and the EpochStats
+// fold — is the driver's, so every strategy runs by the same rules.
+type Strategy struct {
+	// NewSampler returns the round sampler every rank of one attempt
+	// shares; it is called once per attempt with that attempt's grid.
+	NewSampler func(grid *cluster.Grid) SampleRound
+	// AfterFetch, when set, runs after each real minibatch's feature
+	// fetch with its input vertices, for placement-specific charges.
+	AfterFetch func(r *cluster.Rank, verts []int)
+	// SkipStepCharge leaves the optimizer step's memory traffic
+	// uncharged (the step itself still runs).
+	SkipStepCharge bool
 }
 
-// Run simulates cfg.Epochs of distributed minibatch training over the
-// dataset and returns per-epoch phase breakdowns. The epoch loop is
-// expressed as a three-stage engine pipeline (bulk sampling → feature
-// fetch → propagation); Config.Overlap selects the software-pipelined
-// schedule, the default is the paper's bulk-synchronous one.
-func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults(d)
-	if cfg.P%cfg.C != 0 {
-		return nil, fmt.Errorf("pipeline: c=%d must divide p=%d", cfg.C, cfg.P)
-	}
-	if err := cfg.Model.Collectives.Validate(); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if err := cfg.Model.Topology.Validate(); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if err := cfg.Model.Faults.Validate(cfg.P); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if cfg.CkptInterval < 0 {
-		return nil, fmt.Errorf("pipeline: negative checkpoint interval %d", cfg.CkptInterval)
-	}
-
-	batches := d.Batches()
-	totalBatches := len(batches)
-	if cfg.MaxBatches > 0 && cfg.MaxBatches < totalBatches {
-		batches = batches[:cfg.MaxBatches]
-	}
-
+// bulkStrategy is the paper's bulk sampler for cfg.Algorithm: Graph
+// Replicated samples locally (Section 5.1), Graph Partitioned through
+// the 1.5D collectives (Section 5.2).
+func bulkStrategy(d *datasets.Dataset, cfg Config) *Strategy {
 	layerwise := cfg.Sampler == "ladies" || cfg.Sampler == "fastgcn"
 	fanouts := d.Fanouts
 	if layerwise {
@@ -378,6 +388,57 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 			f[i] = fanouts[i%len(fanouts)]
 		}
 		fanouts = f
+	}
+	return &Strategy{NewSampler: func(grid *cluster.Grid) SampleRound {
+		if cfg.Algorithm != GraphPartitioned {
+			var sampler core.Sampler = core.SAGE{}
+			switch cfg.Sampler {
+			case "ladies":
+				sampler = core.LADIES{}
+			case "fastgcn":
+				sampler = core.FastGCN{}
+			}
+			return func(r *cluster.Rank, chunk [][]int, _ int, seed int64) *core.BulkSample {
+				return distsample.SampleReplicated(r, sampler, d.Graph.Adj, chunk, fanouts, seed)
+			}
+		}
+		parts := distsample.NewPartitionedSet(grid, d.Graph.Adj, cfg.SparsityAware)
+		return func(r *cluster.Rank, chunk [][]int, _ int, seed int64) *core.BulkSample {
+			switch cfg.Sampler {
+			case "ladies":
+				return distsample.SampleLADIESPartitioned(r, parts[r.ID], chunk, d.LayerWidth, cfg.Layers, seed)
+			case "fastgcn":
+				return distsample.SampleFastGCNPartitioned(r, parts[r.ID], chunk, d.LayerWidth, cfg.Layers, seed)
+			}
+			return distsample.SampleSAGEPartitioned(r, parts[r.ID], chunk, fanouts, seed)
+		}
+	}}
+}
+
+// Run simulates cfg.Epochs of distributed minibatch training over the
+// dataset and returns per-epoch phase breakdowns. The epoch loop is
+// expressed as a three-stage engine pipeline (bulk sampling → feature
+// fetch → propagation); Config.Overlap selects the software-pipelined
+// schedule, the default is the paper's bulk-synchronous one.
+func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
+	return RunStrategy(d, cfg, nil)
+}
+
+// RunStrategy is Run with the sampling strategy supplied by s; nil
+// selects the paper's bulk sampler for cfg.Algorithm.
+func RunStrategy(d *datasets.Dataset, cfg Config, s *Strategy) (*Result, error) {
+	cfg = cfg.withDefaults(d)
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if s == nil {
+		s = bulkStrategy(d, cfg)
+	}
+
+	batches := d.Batches()
+	totalBatches := len(batches)
+	if cfg.MaxBatches > 0 && cfg.MaxBatches < totalBatches {
+		batches = batches[:cfg.MaxBatches]
 	}
 
 	// Per-rank loss sums and batch counts, aggregated after the run
@@ -444,13 +505,7 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 		cl := cluster.New(cfg.P, m)
 		grid := cluster.NewGrid(cl, cfg.P, cfg.C)
 		stores := NewFeatureStores(grid, d.Features)
-		var parts []*distsample.Partitioned
-		if cfg.Algorithm == GraphPartitioned {
-			if grid.Rows%grid.C != 0 {
-				return nil, fmt.Errorf("pipeline: partitioned algorithm needs c^2 | p (p=%d c=%d)", cfg.P, cfg.C)
-			}
-			parts = distsample.NewPartitionedSet(grid, d.Graph.Adj, cfg.SparsityAware)
-		}
+		sample := s.NewSampler(grid)
 		sched = makeSchedule(cfg, grid, len(batches))
 		// Extrapolation for MaxBatches truncation is per sampling block
 		// (rank or grid row), not global: phase times are maxima across
@@ -481,7 +536,6 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 			} else {
 				local = distsample.ReplicatedBatches(cfg.P, r.ID, batches)
 			}
-			sampler := newSampler(cfg.Sampler)
 			// Communicators each stage drives: in overlapped mode the
 			// engine gives every collective-bearing stage its own stream,
 			// and the stage bodies reach the matching communicator clones
@@ -531,19 +585,8 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 									}
 									chunk = local[lo:hi]
 									rs.SetPhase(PhaseSampling)
-									rs.PushPhase(PhaseSampling) // nested level for the driver's sub-phases
-									if cfg.Algorithm == GraphPartitioned {
-										switch cfg.Sampler {
-										case "ladies":
-											bulk = distsample.SampleLADIESPartitioned(rs, parts[rs.ID], chunk, d.LayerWidth, cfg.Layers, epochSeed)
-										case "fastgcn":
-											bulk = distsample.SampleFastGCNPartitioned(rs, parts[rs.ID], chunk, d.LayerWidth, cfg.Layers, epochSeed)
-										default:
-											bulk = distsample.SampleSAGEPartitioned(rs, parts[rs.ID], chunk, fanouts, epochSeed)
-										}
-									} else {
-										bulk = distsample.SampleReplicated(rs, sampler, d.Graph.Adj, chunk, fanouts, epochSeed)
-									}
+									rs.PushPhase(PhaseSampling) // nested level for the samplers' sub-phases
+									bulk = sample(rs, chunk, round, epochSeed)
 									rs.PopPhase()
 								}
 								bi := t*sched.trainStride + trainOffset
@@ -566,6 +609,9 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 								it := in.(fetchItem)
 								rf.SetPhase(PhaseFeatureFetch)
 								feats := store.FetchCached(rf, it.verts, featCache)
+								if s.AfterFetch != nil && it.bg != nil {
+									s.AfterFetch(rf, it.verts)
+								}
 								return trainItem{bg: it.bg, feats: feats}, nil
 							},
 						},
@@ -600,7 +646,8 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 								// model's Collectives table. The optimizer
 								// step runs once, on the shared model,
 								// inside the collective; every rank still
-								// charges the step's memory traffic.
+								// charges the step's memory traffic unless
+								// the strategy opts out.
 								cluster.AllReduceSumApply(world, rm, grads, func(total []float64) {
 									inv := 1.0 / float64(cfg.P)
 									for i := range total {
@@ -609,7 +656,9 @@ func Run(d *datasets.Dataset, cfg Config) (*Result, error) {
 									opt.Step(model.Params(), total)
 									model.NextDropoutSeed()
 								})
-								rm.ChargeDense(int64(3 * model.NumParams()))
+								if !s.SkipStepCharge {
+									rm.ChargeDense(int64(3 * model.NumParams()))
+								}
 								return nil, nil
 							},
 						},

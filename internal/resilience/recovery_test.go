@@ -1,12 +1,14 @@
 package resilience_test
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
 	"strconv"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/pipeline"
@@ -34,7 +36,8 @@ func recoveryDataset() *datasets.Dataset {
 // full Result surface the backend differential pins: per-epoch stats,
 // trained parameters (float-for-float), effective bulk, and the
 // complete simulated-time cluster accounting. Both backends, all three
-// training strategies.
+// training strategies: every trial runs one paper-pipeline config
+// (replicated or 1.5D partitioned) and one Quiver-baseline config.
 //
 // Topology stays nil and the feature cache stays off: the contention
 // ledger and cache-residency state are deliberately not part of a
@@ -62,16 +65,63 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 		{AllReduce: cluster.Hierarchical},
 	}
 	rng := rand.New(rand.NewSource(20250613))
-	run := func(cfg pipeline.Config, be cluster.Backend) *pipeline.Result {
+	// The Quiver trials draw from their own stream, so adding them left
+	// the pipeline trials' draws unchanged.
+	qrng := rand.New(rand.NewSource(20261017))
+
+	// differential runs one configuration clean and with a failure plan
+	// drawn inside the clean run's simulated span, and reports whether
+	// the plan fired. Mostly single failures (the spec's trial shape),
+	// with an occasional two-failure plan to force chained restarts.
+	differential := func(name string, trial, p, ckptInterval int, rng *rand.Rand,
+		run func(faults *cluster.FaultPlan) *pipeline.Result) bool {
 		t.Helper()
-		cfg.Backend = be
-		res, err := pipeline.Run(d, cfg)
-		if err != nil {
-			t.Fatalf("%+v backend=%v: %v", cfg, be, err)
+		clean := run(nil)
+		if clean.Recovery != nil && clean.Recovery.Attempts != 1 {
+			t.Fatalf("trial %d %s: unfailed run took %d attempts", trial, name, clean.Recovery.Attempts)
 		}
-		return res
+		nFail := 1
+		if trial%7 == 0 {
+			nFail = 2
+		}
+		plan := resilience.RandomPlan(rng.Int63(), p, nFail,
+			clean.Cluster.SimTime*0.05, clean.Cluster.SimTime*0.75)
+		failed := run(plan)
+
+		rec := failed.Recovery
+		if rec == nil {
+			t.Fatalf("trial %d %s: failed run reported no recovery stats", trial, name)
+		}
+		if rec.Attempts >= 2 {
+			if len(rec.Failures) != rec.Attempts-1 || len(rec.RestartEpochs) != rec.Attempts-1 {
+				t.Fatalf("trial %d %s: recovery stats inconsistent: %+v", trial, name, rec)
+			}
+			if ckptInterval == 0 {
+				for _, e := range rec.RestartEpochs {
+					if e != 0 {
+						t.Fatalf("trial %d %s: restarted from epoch %d with no checkpoints", trial, name, e)
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(clean.Epochs, failed.Epochs) {
+			t.Fatalf("trial %d %s %+v: epoch stats diverge after recovery\nclean:  %+v\nfailed: %+v",
+				trial, name, plan, clean.Epochs, failed.Epochs)
+		}
+		if !reflect.DeepEqual(clean.Params, failed.Params) {
+			t.Fatalf("trial %d %s %+v: trained parameters diverge after recovery", trial, name, plan)
+		}
+		if clean.EffectiveK != failed.EffectiveK {
+			t.Fatalf("trial %d %s: EffectiveK %d vs %d", trial, name, clean.EffectiveK, failed.EffectiveK)
+		}
+		if !reflect.DeepEqual(clean.Cluster, failed.Cluster) {
+			t.Fatalf("trial %d %s %+v: cluster accounting diverges after recovery\nclean:  %+v\nfailed: %+v",
+				trial, name, plan, clean.Cluster, failed.Cluster)
+		}
+		return rec.Attempts >= 2
 	}
-	fired := 0
+
+	fired, qfired := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		ps := []int{2, 4, 8}
 		cfg := pipeline.Config{
@@ -99,68 +149,52 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 			cfg.Overlap = rng.Intn(2) == 1
 		}
 
+		qps := []int{1, 2, 3, 4, 8}
+		qcfg := baseline.QuiverConfig{
+			P:            qps[qrng.Intn(len(qps))],
+			UVA:          qrng.Intn(2) == 1,
+			Epochs:       2 + qrng.Intn(2),
+			Seed:         qrng.Int63n(1 << 20),
+			MaxBatches:   qrng.Intn(4), // 0 = every batch
+			Collectives:  tables[qrng.Intn(len(tables))],
+			CkptInterval: qrng.Intn(3),
+		}
+
 		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
-			clean := run(cfg, be)
-			if clean.Recovery != nil && clean.Recovery.Attempts != 1 {
-				t.Fatalf("trial %d backend=%v: unfailed run took %d attempts",
-					trial, be, clean.Recovery.Attempts)
-			}
-
-			// Draw the failure inside the clean run's simulated span so
-			// it almost always fires; mostly single failures (the spec's
-			// trial shape), with an occasional two-failure plan to force
-			// chained restarts.
-			failCfg := cfg
-			nFail := 1
-			if trial%7 == 0 {
-				nFail = 2
-			}
-			failCfg.Faults = resilience.RandomPlan(
-				rng.Int63(), cfg.P, nFail,
-				clean.Cluster.SimTime*0.05, clean.Cluster.SimTime*0.75)
-			failed := run(failCfg, be)
-
-			if failed.Recovery == nil {
-				t.Fatalf("trial %d backend=%v: failed run reported no recovery stats", trial, be)
-			}
-			rec := failed.Recovery
-			if rec.Attempts >= 2 {
-				fired++
-				if len(rec.Failures) != rec.Attempts-1 || len(rec.RestartEpochs) != rec.Attempts-1 {
-					t.Fatalf("trial %d backend=%v: recovery stats inconsistent: %+v", trial, be, rec)
-				}
-				if cfg.CkptInterval == 0 {
-					for _, e := range rec.RestartEpochs {
-						if e != 0 {
-							t.Fatalf("trial %d backend=%v: restarted from epoch %d with no checkpoints", trial, be, e)
-						}
+			if differential(fmt.Sprintf("backend=%v %+v", be, cfg), trial, cfg.P, cfg.CkptInterval, rng,
+				func(faults *cluster.FaultPlan) *pipeline.Result {
+					c := cfg
+					c.Backend, c.Faults = be, faults
+					res, err := pipeline.Run(d, c)
+					if err != nil {
+						t.Fatalf("%+v backend=%v: %v", c, be, err)
 					}
-				}
+					return res
+				}) {
+				fired++
 			}
-
-			if !reflect.DeepEqual(clean.Epochs, failed.Epochs) {
-				t.Fatalf("trial %d backend=%v %+v: epoch stats diverge after recovery\nclean:  %+v\nfailed: %+v",
-					trial, be, failCfg, clean.Epochs, failed.Epochs)
-			}
-			if !reflect.DeepEqual(clean.Params, failed.Params) {
-				t.Fatalf("trial %d backend=%v %+v: trained parameters diverge after recovery", trial, be, failCfg)
-			}
-			if clean.EffectiveK != failed.EffectiveK {
-				t.Fatalf("trial %d backend=%v: EffectiveK %d vs %d", trial, be, clean.EffectiveK, failed.EffectiveK)
-			}
-			if !reflect.DeepEqual(clean.Cluster, failed.Cluster) {
-				t.Fatalf("trial %d backend=%v %+v: cluster accounting diverges after recovery\nclean:  %+v\nfailed: %+v",
-					trial, be, failCfg, clean.Cluster, failed.Cluster)
+			if differential(fmt.Sprintf("backend=%v quiver %+v", be, qcfg), trial, qcfg.P, qcfg.CkptInterval, qrng,
+				func(faults *cluster.FaultPlan) *pipeline.Result {
+					c := qcfg
+					c.Backend, c.Faults = be, faults
+					res, err := baseline.RunQuiver(d, c)
+					if err != nil {
+						t.Fatalf("quiver %+v backend=%v: %v", c, be, err)
+					}
+					return res
+				}) {
+				qfired++
 			}
 		}
 	}
 	// The window [5%, 75%] of the clean simulated span should make the
 	// vast majority of injected failures fire; if almost none did, the
 	// suite is silently testing nothing.
-	if fired < trials {
-		t.Fatalf("only %d/%d trial-backend runs actually fired a failure; the injection window is wrong", fired, 2*trials)
+	if fired < trials || qfired < trials {
+		t.Fatalf("only %d (pipeline) and %d (quiver) of %d trial-backend runs each actually fired a failure; the injection window is wrong",
+			fired, qfired, 2*trials)
 	}
-	t.Logf("%d/%d trial-backend runs fired at least one failure", fired, 2*trials)
+	t.Logf("%d (pipeline) and %d (quiver) of %d trial-backend runs each fired at least one failure", fired, qfired, 2*trials)
 }
 
 // TestRecoveryFromScratchDeterministic pins the no-checkpoint restart
