@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"repro/internal/cliutil"
-	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/graphio"
@@ -26,22 +25,8 @@ func main() {
 		out     = flag.String("out", "", "save the selected dataset to this file")
 		analyze = flag.Bool("analyze", false, "run graph analytics (triangles, components, k-core)")
 		in      = flag.String("in", "", "load and describe a saved dataset file")
-		// datagen runs no simulated collectives; the algorithm flags are
-		// accepted (and validated) for flag-set parity with trainer,
-		// gnnbench and compare, so scripted sweeps can pass one uniform
-		// flag set to all four binaries.
-		allreduce = flag.String("allreduce", "default", cluster.AllReduceFlagUsage+" (validated only; datagen runs no collectives)")
-		alltoall  = flag.String("alltoall", "default", cluster.AllToAllFlagUsage+" (validated only; datagen runs no collectives)")
-		topology  = flag.String("topology", "ideal", cluster.TopologyFlagUsage+" (validated only; datagen runs no transfers)")
 	)
 	flag.Parse()
-
-	if _, err := cluster.ParseCollectives(*allreduce, *alltoall); err != nil {
-		fatal(err)
-	}
-	if _, err := cluster.ParseTopology(*topology); err != nil {
-		fatal(err)
-	}
 
 	if *in != "" {
 		f, err := os.Open(*in)

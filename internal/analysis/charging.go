@@ -7,7 +7,7 @@ import (
 
 // Charging protects the single charging path PRs 3 and 4 fought for:
 // inside internal/cluster, the α–β parameters (CostModel.Alpha/Beta)
-// and the physical link bandwidths (Topology.*Bps, Oversub) may enter
+// and the fabric oversubscription factor (Topology.Oversub) may enter
 // arithmetic only in collectives.go (chargeCollective and the cost
 // constructors), contention.go (the fair-share ledger) and
 // costmodel.go (the model's own helpers). Before PR 3 the repo had
@@ -33,7 +33,7 @@ var chargingExemptFiles = map[string]bool{
 // protected cost-parameter fields.
 var chargingFields = map[string]map[string]bool{
 	"CostModel": {"Alpha": true, "Beta": true},
-	"Topology":  {"NVLinkBps": true, "NICBps": true, "PCIeBps": true, "Oversub": true},
+	"Topology":  {"Oversub": true},
 }
 
 func runCharging(pass *Pass) error {

@@ -352,9 +352,10 @@ func baseName(full string) string {
 	return full
 }
 
-// blocksNativeExempt: the layers below the park/wake seam legitimately
-// use channels — the seam files in internal/cluster, the discrete-event
-// scheduler, and the bench worker pool.
+// blocksNativeExempt: the layers below the park/wake seam may block
+// natively — the seam files in internal/cluster, the scheduler (both
+// of its modes hand the run token over channels), and the bench worker
+// pool.
 func blocksNativeExempt(pkgPath, filename string) bool {
 	switch pkgPath {
 	case clusterPath:

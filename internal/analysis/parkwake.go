@@ -9,16 +9,16 @@ import (
 	"sort"
 )
 
-// ParkWake keeps cluster-driven code on the backend-neutral blocking
+// ParkWake keeps cluster-driven code on the scheduler's blocking
 // primitives. Under the goroutine backend a naked channel receive or
 // WaitGroup.Wait merely blocks a goroutine; under the discrete-event
-// backend (PR 6) there is exactly one runnable task, so any wait that
-// does not park on the scheduler (Queue.Send/Recv, Forked.Join, the
+// backend there is exactly one runnable task, so any wait that does
+// not park on the scheduler (Queue.Send/Recv, Forked.Join, the
 // collective rendezvous) hangs the whole simulation. Equally fatal:
 // parking while holding a mutex — the task that would wake us may
 // first need that lock. The primitive layer itself (queue.go, comm.go,
-// p2p.go — the files that implement park/wake on both backends) is
-// exempt; everything above it must go through them.
+// p2p.go — the files that implement the primitives on Task.Park and
+// Sched.Ready) is exempt; everything above it must go through them.
 var ParkWake = &Analyzer{
 	Name: "parkwake",
 	Doc:  "cluster-driven code must block through backend-neutral park/wake, never raw channels/WaitGroups, and never park holding a mutex",
@@ -36,8 +36,11 @@ var parkWakeScope = map[string]bool{
 	"repro/internal/distsample": true,
 }
 
-// parkWakeExemptFiles implement the park/wake seam and legitimately
-// touch channels (their goroutine-backend halves).
+// parkWakeExemptFiles implement the park/wake seam: they call Task.Park
+// directly, and the rendezvous re-takes its mutex after a park to read
+// the completed generation (it never parks holding it — waiters unlock
+// first — but the lexical lock tracking cannot see that through its
+// deferred unlock).
 var parkWakeExemptFiles = map[string]bool{
 	"queue.go": true,
 	"comm.go":  true,

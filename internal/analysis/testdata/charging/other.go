@@ -7,7 +7,7 @@ func inlinedCharge(m CostModel, l Link, bytes int64) float64 {
 }
 
 func bandwidthMath(t *Topology) float64 {
-	return t.NICBps / t.Oversub // want `Topology\.NICBps may be priced only` `Topology\.Oversub may be priced only`
+	return 1 / t.Oversub // want `Topology\.Oversub may be priced only`
 }
 
 func negated(m CostModel, l Link) float64 {
@@ -17,7 +17,7 @@ func negated(m CostModel, l Link) float64 {
 // A plain read or copy is not arithmetic.
 func plainRead(m CostModel, l Link) float64 { return m.Alpha[l] }
 
-func passAlong(t Topology) float64 { return t.NVLinkBps }
+func passAlong(t Topology) float64 { return t.Oversub }
 
 // auditedSite shows the escape hatch.
 func auditedSite(m CostModel, l Link) float64 {

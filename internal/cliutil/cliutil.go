@@ -1,8 +1,9 @@
-// Package cliutil holds the flag-parsing helpers shared by the four
-// CLI binaries (trainer, gnnbench, compare, datagen), so -profile and
-// -gpus accept one vocabulary everywhere and the validation is tested
-// in one place instead of re-implemented per main package. The
-// collective-algorithm and topology flags parse through
+// Package cliutil holds the flag-parsing helpers shared by the CLI
+// binaries (trainer, gnnbench and compare; datagen takes -profile), so
+// -profile and -gpus accept one vocabulary everywhere and the
+// validation is tested in one place instead of re-implemented per main
+// package. The collective-algorithm and topology flags (taken by the
+// three simulating CLIs) parse through
 // cluster.ParseCollectives / cluster.ParseTopology directly; this
 // package's tests pin their accept/reject tables alongside the local
 // helpers so the whole shared flag surface has one conformance suite.

@@ -8,8 +8,9 @@ import (
 	"repro/internal/datasets"
 )
 
-// The four CLIs (trainer, gnnbench, compare, datagen) share this flag
-// vocabulary; these tables are the single conformance suite for it.
+// The CLIs (trainer, gnnbench, compare and, for -profile, datagen)
+// share this flag vocabulary; these tables are the single conformance
+// suite for it.
 
 func TestParseProfileAccepts(t *testing.T) {
 	want := map[string]datasets.Profile{

@@ -6,12 +6,15 @@ import (
 	"strings"
 )
 
-// Backend selects the execution machinery a simulated run blocks and
-// synchronizes on. Both backends execute the same rank bodies and
-// charge the same cost model, so results — trained parameters, losses,
-// simulated seconds, link traffic — are bit-identical between them
-// (pinned by the golden tests and the goroutine-vs-DES differential
-// suite); only the wall-clock cost of running the simulator differs.
+// Backend selects the mode of the scheduler (internal/cluster/sim) a
+// simulated run's tasks — rank bodies and forked streams — run on.
+// Every blocking primitive is written once against that scheduler's
+// Park/Ready, so both backends execute the same rank bodies, the same
+// primitives and the same cost model, and results — trained
+// parameters, losses, simulated seconds, link traffic — are
+// bit-identical between them on contention-off runs (pinned by the
+// golden tests and the goroutine-vs-DES differential suite); only the
+// wall-clock cost of running the simulator differs.
 type Backend int
 
 const (
@@ -21,15 +24,16 @@ const (
 	// convention (an explicit selection always wins over the
 	// environment).
 	DefaultBackend Backend = iota
-	// GoroutineBackend runs one goroutine per rank; synchronization
-	// points block on mutex/cond rendezvous. The original execution
-	// model, kept as the differential-testing oracle.
+	// GoroutineBackend runs the scheduler in free mode (sim.NewFree):
+	// every task is a goroutine the Go runtime schedules in parallel,
+	// and a parked task waits for its wake token. Faster on multiple
+	// cores; under a contention topology the ledger commits flows in
+	// real arrival order, so contended timings vary from run to run.
 	GoroutineBackend
-	// DESBackend runs the whole cluster as one discrete-event loop
-	// (internal/cluster/sim): a single-threaded cooperative scheduler
-	// with a priority event queue keyed by (time, rank, seq). Ranks
-	// become tasks that park at synchronization points instead of
-	// blocking OS threads, which removes the scheduler-churn wall at
+	// DESBackend runs the scheduler as one discrete-event loop
+	// (sim.New): a single-threaded cooperative scheduler with a
+	// priority event queue keyed by (time, rank, seq), exactly one task
+	// runnable at a time. That removes the scheduler-churn wall at
 	// large p and makes event order — and therefore contention-model
 	// timings — deterministic.
 	DESBackend
@@ -75,9 +79,10 @@ func ParseBackend(s string) (Backend, error) {
 // explicit > $GNN_BACKEND > goroutine. Exported for harness layers
 // that need the execution mode before any cluster exists — the sweep
 // worker pool keeps goroutine-backend cells with a contended topology
-// off the pool, because the contention ledger commits in real lock
-// order and concurrent sibling cells would perturb it (the DES
-// backend's single event loop per cluster is immune).
+// off the pool, because the free-running tasks commit to the
+// contention ledger in real arrival order and concurrent sibling
+// cells would perturb it (the DES backend's single event loop per
+// cluster is immune).
 func (b Backend) Resolve() Backend { return resolveBackend(b) }
 
 // resolveBackend turns an unset selection into a concrete backend:

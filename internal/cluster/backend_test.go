@@ -3,15 +3,23 @@ package cluster
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// desModel returns the test cost model pinned to the discrete-event
-// backend.
-func desModel() CostModel {
+// backendModel returns the test cost model pinned to backend b.
+func backendModel(b Backend) CostModel {
 	m := testModel()
-	m.Backend = DESBackend
+	m.Backend = b
 	return m
+}
+
+// bothBackends runs f once per concrete backend as a subtest, for
+// behaviour that does not depend on which scheduler runs the tasks.
+func bothBackends(t *testing.T, f func(t *testing.T, b Backend)) {
+	for _, b := range []Backend{GoroutineBackend, DESBackend} {
+		t.Run(b.String(), func(t *testing.T) { f(t, b) })
+	}
 }
 
 // TestBackendResolutionEnv: an unset Backend resolves through
@@ -43,7 +51,7 @@ func TestBackendExplicitBeatsEnv(t *testing.T) {
 		t.Fatalf("explicit goroutine under env=des resolved to %v", got)
 	}
 	t.Setenv(BackendEnv, "goroutine")
-	if got := New(1, desModel()).Backend(); got != DESBackend {
+	if got := New(1, backendModel(DESBackend)).Backend(); got != DESBackend {
 		t.Fatalf("explicit des under env=goroutine resolved to %v", got)
 	}
 }
@@ -70,7 +78,7 @@ func TestDESCollectivesMatchGoroutines(t *testing.T) {
 	gm := testModel()
 	gm.Backend = GoroutineBackend
 	gSums, gTime := run(gm)
-	dSums, dTime := run(desModel())
+	dSums, dTime := run(backendModel(DESBackend))
 	if gTime != dTime {
 		t.Fatalf("SimTime differs: goroutine %v vs des %v", gTime, dTime)
 	}
@@ -104,7 +112,7 @@ func TestDESSendRecvMatchesGoroutines(t *testing.T) {
 	gm := testModel()
 	gm.Backend = GoroutineBackend
 	gVal, gTime := run(gm)
-	dVal, dTime := run(desModel())
+	dVal, dTime := run(backendModel(DESBackend))
 	if gVal != 42 || dVal != 42 {
 		t.Fatalf("payloads: goroutine %d, des %d, want 42", gVal, dVal)
 	}
@@ -113,125 +121,112 @@ func TestDESSendRecvMatchesGoroutines(t *testing.T) {
 	}
 }
 
-// TestDESMismatchedCollectivesDiagnostic: the deadlock detector works
-// under DES and its diagnostic names the backend and the event-queue
-// depth (the DES analogue of a goroutine dump).
-func TestDESMismatchedCollectivesDiagnostic(t *testing.T) {
-	cl := New(2, desModel())
-	world := cl.World()
-	var msgs []string // DES runs ranks one at a time: no mutex needed
-	_, err := cl.Run(func(r *Rank) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				msgs = append(msgs, fmt.Sprint(p))
+// TestMismatchedCollectivesDiagnostic: the deadlock detector's
+// diagnostic names the backend and, under DES, the event-queue depth
+// (the DES analogue of a goroutine dump).
+func TestMismatchedCollectivesDiagnostic(t *testing.T) {
+	bothBackends(t, func(t *testing.T, b Backend) {
+		cl := New(2, backendModel(b))
+		world := cl.World()
+		var mu sync.Mutex
+		var msgs []string
+		_, err := cl.Run(func(r *Rank) (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					mu.Lock()
+					msgs = append(msgs, fmt.Sprint(p))
+					mu.Unlock()
+				}
+			}()
+			if r.ID == 0 {
+				Barrier(world, r)
+			} else {
+				AllReduceSum(world, r, []float64{1})
 			}
-		}()
-		if r.ID == 0 {
-			Barrier(world, r)
-		} else {
-			AllReduceSum(world, r, []float64{1})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 2 {
-		t.Fatalf("want both ranks to panic, got %d panics: %v", len(msgs), msgs)
-	}
-	for _, m := range msgs {
-		if !strings.Contains(m, "mismatched collectives") {
-			t.Fatalf("panic lacks diagnosis: %q", m)
-		}
-		if !strings.Contains(m, "backend=des") || !strings.Contains(m, "queued events") {
-			t.Fatalf("panic lacks DES backend diagnostics: %q", m)
-		}
-	}
-}
-
-// TestDESAbandonedCollectiveDiagnostic: rendezvous poisoning reaches
-// parked DES waiters, and the diagnostic carries the backend name.
-func TestDESAbandonedCollectiveDiagnostic(t *testing.T) {
-	cl := New(2, desModel())
-	world := cl.World()
-	var msg string
-	_, err := cl.Run(func(r *Rank) (err error) {
-		if r.ID == 0 {
-			return nil // leaves without joining the barrier
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				msg = fmt.Sprint(p)
-			}
-		}()
-		Barrier(world, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "rank 0") {
-		t.Fatalf("deadlock not diagnosed: %q", msg)
-	}
-	if !strings.Contains(msg, "backend=des") {
-		t.Fatalf("diagnostic lacks backend name: %q", msg)
-	}
-}
-
-// TestGoroutineDiagnosticNamesBackend: the goroutine backend's
-// diagnostics carry its name too, so a report always says which
-// machinery was running.
-func TestGoroutineDiagnosticNamesBackend(t *testing.T) {
-	m := testModel()
-	m.Backend = GoroutineBackend
-	cl := New(2, m)
-	world := cl.World()
-	var msg string
-	_, err := cl.Run(func(r *Rank) (err error) {
-		if r.ID == 0 {
 			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		defer func() {
-			if p := recover(); p != nil {
-				msg = fmt.Sprint(p)
+		if len(msgs) != 2 {
+			t.Fatalf("want both ranks to panic, got %d panics: %v", len(msgs), msgs)
+		}
+		for _, m := range msgs {
+			if !strings.Contains(m, "mismatched collectives") {
+				t.Fatalf("panic lacks diagnosis: %q", m)
 			}
-		}()
-		Barrier(world, r)
-		return nil
+			if !strings.Contains(m, "backend="+b.String()) {
+				t.Fatalf("panic lacks backend name: %q", m)
+			}
+			if b == DESBackend && !strings.Contains(m, "queued events") {
+				t.Fatalf("panic lacks DES queue depth: %q", m)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(msg, "backend=goroutine") {
-		t.Fatalf("diagnostic lacks backend name: %q", msg)
-	}
 }
 
-// TestDESQueueBackpressure: the backend-neutral Queue parks DES
-// senders on a full queue and receivers on an empty one, preserving
-// FIFO order and values across the handoff.
-func TestDESQueueBackpressure(t *testing.T) {
-	cl := New(1, desModel())
-	var got []int
-	_, err := cl.Run(func(r *Rank) error {
-		q := r.NewQueue(2)
-		f := r.ForkStream("producer", func(s *Rank) {
-			for i := 0; i < 8; i++ {
-				q.Send(s, i) // parks when the 2-slot buffer is full
+// TestAbandonedCollectiveDiagnostic: rendezvous poisoning reaches
+// parked waiters, and the diagnostic carries the backend name, so a
+// report always says which scheduler was running.
+func TestAbandonedCollectiveDiagnostic(t *testing.T) {
+	bothBackends(t, func(t *testing.T, b Backend) {
+		cl := New(2, backendModel(b))
+		world := cl.World()
+		var msg string
+		_, err := cl.Run(func(r *Rank) (err error) {
+			if r.ID == 0 {
+				return nil // leaves without joining the barrier
 			}
+			defer func() {
+				if p := recover(); p != nil {
+					msg = fmt.Sprint(p)
+				}
+			}()
+			Barrier(world, r)
+			return nil
 		})
-		for i := 0; i < 8; i++ {
-			got = append(got, q.Recv(r).(int))
+		if err != nil {
+			t.Fatal(err)
 		}
-		f.Join(r)
-		return nil
+		if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "rank 0") {
+			t.Fatalf("deadlock not diagnosed: %q", msg)
+		}
+		if !strings.Contains(msg, "backend="+b.String()) {
+			t.Fatalf("diagnostic lacks backend name: %q", msg)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("queue order broken: got %v", got)
+}
+
+// TestQueueBackpressure: Queue parks senders on a full queue and
+// receivers on an empty one, preserving FIFO order and values across
+// the handoff.
+func TestQueueBackpressure(t *testing.T) {
+	bothBackends(t, func(t *testing.T, b Backend) {
+		cl := New(1, backendModel(b))
+		var got []int
+		_, err := cl.Run(func(r *Rank) error {
+			q := r.NewQueue(2)
+			f := r.ForkStream("producer", func(s *Rank) {
+				for i := 0; i < 8; i++ {
+					q.Send(s, i) // parks when the 2-slot buffer is full
+				}
+			})
+			for i := 0; i < 8; i++ {
+				got = append(got, q.Recv(r).(int))
+			}
+			f.Join(r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(got) != 8 {
+			t.Fatalf("got %d values, want 8", len(got))
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("queue order broken: got %v", got)
+			}
+		}
+	})
 }

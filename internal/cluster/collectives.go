@@ -92,8 +92,9 @@ type Collectives struct {
 	AllToAll CollectiveAlgorithm
 }
 
-// Flag help shared by the CLIs (cmd/trainer, cmd/gnnbench, cmd/compare,
-// cmd/datagen) so the four binaries' flag sets stay in lockstep.
+// Flag help shared by the CLIs that run simulations (cmd/trainer,
+// cmd/gnnbench, cmd/compare) so the three binaries' flag sets stay in
+// lockstep.
 const (
 	AllReduceFlagUsage = "all-reduce schedule: default, flat, ring or hier (governs all-reduce, all-gather and broadcast)"
 	AllToAllFlagUsage  = "all-to-allv schedule: default, flat or pairwise"

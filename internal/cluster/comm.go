@@ -200,7 +200,6 @@ type slot struct {
 // member's rank body returned while peers wait for it).
 type rendezvous struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	n       int
 	arrived int
 	gen     uint64
@@ -218,25 +217,22 @@ type rendezvous struct {
 	// to have arrived at g+2.
 	bufs   [3][]slot
 	failed error // poisoned: every current and future participant panics
-	// parked are the DES tasks waiting on the in-flight generation
-	// (the discrete-event analogue of the cond.Wait set); the last
-	// arriver — or the poison path — readies them at their recorded
-	// entry clocks and clears the list.
-	parked []desWaiter
+	// parked are the tasks waiting on the in-flight generation; the
+	// last arriver — or the poison path — readies them at their
+	// recorded entry clocks and clears the list.
+	parked []waiter
 }
 
-// desWaiter is one parked DES task plus the simulated time to ready it
-// at (its entry clock; collectives complete at max entry + cost, so
-// the wake time only orders events, never changes results).
-type desWaiter struct {
+// waiter is one parked task plus the simulated time to ready it at
+// (its entry clock; collectives complete at max entry + cost, so the
+// wake time only orders events, never changes results).
+type waiter struct {
 	task  *sim.Task
 	clock float64
 }
 
 func newRendezvous(n int) *rendezvous {
-	rv := &rendezvous{n: n, waiting: make([]bool, n)}
-	rv.cond = sync.NewCond(&rv.mu)
-	return rv
+	return &rendezvous{n: n, waiting: make([]bool, n)}
 }
 
 // genBuf returns the reusable slot buffer for the current generation.
@@ -249,21 +245,22 @@ func (rv *rendezvous) genBuf() []slot {
 	return rv.bufs[i]
 }
 
-// poison marks the rendezvous failed and wakes every waiter — blocked
-// goroutines via the condition variable and parked DES tasks via the
-// scheduler — so callers panic with the recorded error instead of
-// hanging. Caller holds rv.mu.
+// poison marks the rendezvous failed and wakes every waiter, so
+// callers panic with the recorded error instead of hanging. Caller
+// holds rv.mu.
 func (c *Comm) poison(err error) {
+	c.rv.failed = err
+	c.wakeParked()
+}
+
+// wakeParked readies every task parked on the in-flight generation.
+// Caller holds rv.mu.
+func (c *Comm) wakeParked() {
 	rv := c.rv
-	rv.failed = err
-	rv.cond.Broadcast()
-	if len(rv.parked) > 0 {
-		s := c.cl.sched
-		for _, w := range rv.parked {
-			s.Ready(w.task, w.clock)
-		}
-		rv.parked = rv.parked[:0]
+	for _, w := range rv.parked {
+		c.cl.sched.Ready(w.task, w.clock)
 	}
+	rv.parked = rv.parked[:0]
 }
 
 // diag appends execution-backend context to a deadlock diagnostic:
@@ -272,8 +269,8 @@ func (c *Comm) poison(err error) {
 // ranks is the classic symptom; a deep one points at livelock in the
 // simulated program instead).
 func (c *Comm) diag() string {
-	if s := c.cl.sched; s != nil {
-		return fmt.Sprintf(" [backend=des, %d queued events]", s.Depth())
+	if c.cl.backend == DESBackend {
+		return fmt.Sprintf(" [backend=des, %d queued events]", c.cl.sched.Depth())
 	}
 	return fmt.Sprintf(" [backend=%s]", c.cl.backend)
 }
@@ -323,8 +320,8 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 			// disables both of the deadlock detector's poison paths (the
 			// entry scan and checkAbandoned bail when arrived == n), so
 			// poison the rendezvous here before propagating: the n-1
-			// waiters panic with the diagnostic instead of blocking in
-			// cond.Wait forever.
+			// parked waiters panic with the diagnostic instead of
+			// waiting forever.
 			func() {
 				defer func() {
 					if p := recover(); p != nil {
@@ -346,17 +343,7 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 			rv.waiting[i] = false
 		}
 		rv.gen++
-		rv.cond.Broadcast()
-		if len(rv.parked) > 0 {
-			// DES: the generation is complete; ready every parked peer
-			// at its entry clock (completion time is charged by each
-			// member itself, so the wake time only orders events).
-			s := c.cl.sched
-			for _, w := range rv.parked {
-				s.Ready(w.task, w.clock)
-			}
-			rv.parked = rv.parked[:0]
-		}
+		c.wakeParked()
 		return rv.out
 	}
 	// A peer that already finished its rank body can never arrive. The
@@ -369,30 +356,20 @@ func (c *Comm) exchangeTransform(r *Rank, op string, s slot, transform func([]sl
 			panic(err)
 		}
 	}
+	// Park until the generation completes. One wake suffices — only
+	// generation completion or poison readies a parked waiter, and the
+	// next generation cannot finish (it needs this very rank) before
+	// the task resumes, so rv.out is still ours on wake.
 	gen := rv.gen
-	if t := r.task; t != nil {
-		// DES: park on the scheduler instead of the condition
-		// variable. One wake suffices — only generation completion or
-		// poison readies a parked waiter, and the next generation
-		// cannot finish (it needs this very rank) before the task
-		// resumes, so rv.out is still ours on wake.
-		rv.parked = append(rv.parked, desWaiter{task: t, clock: s.clock})
-		rv.mu.Unlock()
-		t.Park()
-		rv.mu.Lock()
-		if rv.failed != nil {
-			panic(rv.failed)
-		}
-		if rv.gen == gen {
-			panic(fmt.Sprintf("cluster: spurious DES wake on comm %v (dup %q) during %s", c.members, c.key, op))
-		}
-		return rv.out
+	rv.parked = append(rv.parked, waiter{task: r.task, clock: s.clock})
+	rv.mu.Unlock()
+	r.task.Park()
+	rv.mu.Lock()
+	if rv.failed != nil {
+		panic(rv.failed)
 	}
-	for rv.gen == gen {
-		if rv.failed != nil {
-			panic(rv.failed)
-		}
-		rv.cond.Wait()
+	if rv.gen == gen {
+		panic(fmt.Sprintf("cluster: spurious wake on comm %v (dup %q) during %s", c.members, c.key, op))
 	}
 	return rv.out
 }

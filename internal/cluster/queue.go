@@ -1,25 +1,22 @@
 package cluster
 
-import "repro/internal/cluster/sim"
+import (
+	"sync"
+
+	"repro/internal/cluster/sim"
+)
 
 // Queue is a bounded FIFO handoff between two concurrent timelines of
-// one rank (a staged pipeline's item and credit channels). It is the
-// backend-neutral replacement for a buffered channel: under the
-// goroutine backend it is one, while under the DES backend senders and
-// receivers park on the event scheduler instead of blocking
-// goroutines. Queues carry no simulated time themselves — like the
-// channels they replace, simulated backpressure is expressed by the
-// values flowing through them (item completion times, credit clocks)
-// and charged explicitly by the stages.
+// one rank (a staged pipeline's item and credit channels): senders
+// park on the scheduler while it is full and receivers while it is
+// empty. Queues carry no simulated time themselves — simulated
+// backpressure is expressed by the values flowing through them (item
+// completion times, credit clocks) and charged explicitly by the
+// stages.
 type Queue struct {
-	cl  *Cluster
-	des bool
+	cl *Cluster
 
-	ch chan any // goroutine backend
-
-	// DES state: ring buffer plus parked peers. The scheduler
-	// guarantees a single runnable task, so no locking — the
-	// happens-before chain runs through its handoff channels.
+	mu       sync.Mutex
 	capacity int
 	buf      []any
 	sendW    []queueWaiter // parked senders, each carrying its pending value
@@ -32,43 +29,29 @@ type queueWaiter struct {
 }
 
 // NewQueue creates a bounded queue with the given capacity (values < 1
-// are treated as 1) on this rank's backend.
+// are treated as 1).
 func (r *Rank) NewQueue(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	q := &Queue{cl: r.cl, capacity: capacity, des: r.task != nil}
-	if !q.des {
-		q.ch = make(chan any, capacity)
-	}
-	return q
+	return &Queue{cl: r.cl, capacity: capacity}
 }
 
 // Prefill enqueues v before the queue is in use (initial credits); it
 // must not be called once Send/Recv traffic has started and panics if
 // the queue is already full.
 func (q *Queue) Prefill(v any) {
-	if !q.des {
-		select {
-		case q.ch <- v:
-		default:
-			panic("cluster: Prefill on a full queue")
-		}
-		return
-	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if len(q.buf) >= q.capacity {
 		panic("cluster: Prefill on a full queue")
 	}
 	q.buf = append(q.buf, v)
 }
 
-// Send enqueues v, blocking (parking, under DES) while the queue is
-// full.
+// Send enqueues v, parking while the queue is full.
 func (q *Queue) Send(r *Rank, v any) {
-	if !q.des {
-		q.ch <- v
-		return
-	}
+	q.mu.Lock()
 	if len(q.buf) < q.capacity {
 		q.buf = append(q.buf, v)
 		if len(q.recvW) > 0 {
@@ -76,23 +59,24 @@ func (q *Queue) Send(r *Rank, v any) {
 			q.recvW = q.recvW[1:]
 			q.cl.sched.Ready(w, r.clock)
 		}
+		q.mu.Unlock()
 		return
 	}
 	// Full: park with the value; the receiver that frees a slot moves
 	// it into the buffer and readies us.
 	q.sendW = append(q.sendW, queueWaiter{task: r.task, val: v})
+	q.mu.Unlock()
 	r.task.Park()
 }
 
-// Recv dequeues the oldest value, blocking (parking, under DES) while
-// the queue is empty.
+// Recv dequeues the oldest value, parking while the queue is empty.
 func (q *Queue) Recv(r *Rank) any {
-	if !q.des {
-		return <-q.ch
-	}
+	q.mu.Lock()
 	for len(q.buf) == 0 {
 		q.recvW = append(q.recvW, r.task)
+		q.mu.Unlock()
 		r.task.Park()
+		q.mu.Lock()
 	}
 	v := q.buf[0]
 	q.buf = q.buf[1:]
@@ -102,63 +86,54 @@ func (q *Queue) Recv(r *Rank) any {
 		q.buf = append(q.buf, w.val)
 		q.cl.sched.Ready(w.task, r.clock)
 	}
+	q.mu.Unlock()
 	return v
 }
 
 // Forked is the join handle of a stream forked with ForkStream.
 type Forked struct {
-	stream *Rank
-
-	ch chan struct{} // goroutine backend: closed when fn returns
-
-	// DES state.
-	cl          *Cluster
+	mu          sync.Mutex
 	done        bool
 	waiter      *sim.Task
 	waiterClock float64
 }
 
-// ForkStream runs fn concurrently on a newly forked stream of r (see
-// Rank.Stream) and returns a handle to join it. Under the goroutine
-// backend fn gets its own goroutine; under DES it becomes a scheduler
-// task readied at the fork's simulated time, sharing the rank id for
-// event tie-breaking.
+// ForkStream runs fn concurrently on a newly forked stream of r and
+// returns a handle to join it. The stream shares r's identity, cost
+// model and accounting buckets but owns an independent clock starting
+// at r's current time (see Rank); it runs as its own scheduler task,
+// readied at the fork's simulated time and sharing the rank id for
+// event tie-breaking. This is the only way to fork a stream: a stream
+// handle blocks through its task.
 func (r *Rank) ForkStream(name string, fn func(s *Rank)) *Forked {
-	s := r.Stream(name)
-	f := &Forked{stream: s, cl: r.cl}
-	if r.task != nil {
-		sched := r.cl.sched
-		t := sched.Spawn(r.ID, func(t *sim.Task) {
-			s.task = t
-			fn(s)
-			f.done = true
-			if f.waiter != nil {
-				sched.Ready(f.waiter, f.waiterClock)
-			}
-		})
-		sched.Ready(t, s.clock)
-		return f
-	}
-	f.ch = make(chan struct{})
-	go func() {
-		defer close(f.ch)
+	s := r.newStream(name)
+	f := &Forked{}
+	sched := r.cl.sched
+	s.task = sched.Spawn(r.ID, func(*sim.Task) {
 		fn(s)
-	}()
+		f.mu.Lock()
+		f.done = true
+		w, clock := f.waiter, f.waiterClock
+		f.mu.Unlock()
+		if w != nil {
+			sched.Ready(w, clock)
+		}
+	})
+	sched.Ready(s.task, s.clock)
 	return f
 }
 
-// Join blocks r until the forked stream's body has returned. Join
+// Join parks r until the forked stream's body has returned. Join
 // advances no simulated time — like joining a goroutine, it only
 // synchronizes control flow; makespans aggregate through MaxClock.
 func (f *Forked) Join(r *Rank) {
-	if f.ch != nil {
-		<-f.ch
-		return
-	}
+	f.mu.Lock()
 	if f.done {
+		f.mu.Unlock()
 		return
 	}
 	f.waiter = r.task
 	f.waiterClock = r.clock
+	f.mu.Unlock()
 	r.task.Park()
 }

@@ -18,12 +18,12 @@ import (
 // breakdowns as the paper's figures (sampling / feature fetching /
 // propagation, probability / sampling / extraction, comm / comp).
 //
-// A Rank value is also the handle for one execution *stream*: Stream
-// forks a concurrent timeline (like a CUDA stream) that shares the
-// rank's identity, cost model and phase accounting but advances an
-// independent clock. Streams let an overlapped scheduler charge
-// prefetched work concurrently with the main timeline; the rank's
-// reported time is the maximum over its streams, not their sum.
+// A Rank value is also the handle for one execution *stream*:
+// ForkStream forks a concurrent timeline (like a CUDA stream) that
+// shares the rank's identity, cost model and phase accounting but
+// advances an independent clock. Streams let an overlapped scheduler
+// charge prefetched work concurrently with the main timeline; the
+// rank's reported time is the maximum over its streams, not their sum.
 type Rank struct {
 	ID, N int
 
@@ -67,12 +67,11 @@ type Rank struct {
 	// each timeline halts when its own clock crosses it.
 	failAt float64
 
-	// cl is the owning cluster; the synchronization primitives consult
-	// it for the backend and, under DES, the scheduler.
+	// cl is the owning cluster; the synchronization primitives ready
+	// parked peers through its scheduler.
 	cl *Cluster
-	// task is this timeline's DES task (nil under the goroutine
-	// backend): the handle the rendezvous, mailbox and stage queues
-	// park and ready instead of blocking a goroutine.
+	// task is this timeline's scheduler task: the handle the
+	// rendezvous, mailbox and stage queues park and ready.
 	task *sim.Task
 }
 
@@ -117,14 +116,14 @@ func (a *acct) slotFor(name string) int {
 	return i
 }
 
-// Stream forks a concurrent execution timeline: the returned handle
-// shares this rank's identity, cost model and accounting buckets but
-// owns an independent clock starting at the caller's current time.
-// Charges and collectives issued on the handle advance only its own
-// clock; phase totals accrue to the shared buckets. A communicator
-// must not be used by two streams of the same rank concurrently, and
-// each stream must stay on a single goroutine.
-func (r *Rank) Stream(name string) *Rank {
+// newStream creates the handle of a concurrent execution timeline (see
+// ForkStream): it shares this rank's identity, cost model and
+// accounting buckets but owns an independent clock starting at the
+// caller's current time. Charges and collectives issued on the handle
+// advance only its own clock; phase totals accrue to the shared
+// buckets. A communicator must not be used by two streams of the same
+// rank concurrently.
+func (r *Rank) newStream(name string) *Rank {
 	s := &Rank{
 		ID:     r.ID,
 		N:      r.N,
@@ -497,12 +496,11 @@ type Cluster struct {
 
 	// backend is the resolved execution backend (never
 	// DefaultBackend): Model.Backend, then $GNN_BACKEND, then the
-	// goroutine backend — fixed at construction so every Run and every
-	// synchronization primitive agrees.
+	// goroutine backend — fixed at construction so every Run picks the
+	// same scheduler mode.
 	backend Backend
-	// sched is the discrete-event scheduler of the Run in progress
-	// (DES backend only; nil between runs and always nil under the
-	// goroutine backend).
+	// sched is the scheduler of the Run in progress (nil between
+	// runs): the synchronization primitives ready parked tasks on it.
 	sched *sim.Sched
 
 	mu    sync.Mutex
@@ -570,7 +568,14 @@ func (c *Cluster) Backend() Backend { return c.backend }
 // detector poisons the rendezvous and the waiting ranks panic with a
 // diagnostic (real MPI would hang). Bodies should still return errors
 // only at synchronized points. Any streams a body forks must be joined
-// (their goroutines finished) before the body returns.
+// before the body returns.
+//
+// Every rank body runs as a task of one scheduler, readied at t=0 in
+// rank order; the synchronization primitives (the collective
+// rendezvous, the point-to-point mailbox, stage queues and stream
+// joins) park and ready tasks on it. The backend only picks the
+// scheduler's mode: the DES backend's single event loop or the
+// goroutine backend's free-running goroutines.
 func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 	// Reset the per-run deadlock-detector and stream-binding state so
 	// a cluster can host consecutive Run calls (a later run may drive
@@ -602,44 +607,22 @@ func (c *Cluster) Run(body func(r *Rank) error) (*Result, error) {
 		ranks[i].failAt = c.Model.Faults.failAt(i)
 	}
 	errs := make([]error, c.N)
+	s := sim.NewFree()
 	if c.backend == DESBackend {
-		// Discrete-event backend: one cooperative task per rank,
-		// all readied at t=0 in rank order, driven to completion by a
-		// single event loop. The synchronization primitives (the
-		// collective rendezvous, the point-to-point mailbox, stage
-		// queues and stream joins) park tasks on the scheduler instead
-		// of blocking goroutines.
-		s := sim.New()
-		c.sched = s
-		for i := 0; i < c.N; i++ {
-			i := i
-			ranks[i].task = s.Spawn(i, func(*sim.Task) {
-				defer c.markDone(i)
-				errs[i] = c.runBody(body, ranks[i])
-			})
-			s.Ready(ranks[i].task, 0)
-		}
-		func() {
-			defer func() { c.sched = nil }()
-			s.Run()
-		}()
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < c.N; i++ {
-			wg.Add(1)
-			// This IS the goroutine backend: the one sanctioned spawn/join
-			// of real OS goroutines, below the park/wake seam the rest of
-			// the cluster-driven code must stay above.
-			//gnnvet:allow parkwake — the goroutine backend's driver itself: spawns rank bodies outside simulated time
-			go func(i int) {
-				defer wg.Done()
-				defer c.markDone(i)
-				errs[i] = c.runBody(body, ranks[i])
-			}(i)
-		}
-		//gnnvet:allow parkwake — joins the goroutine backend's rank bodies; runs outside simulated time
-		wg.Wait()
+		s = sim.New()
 	}
+	c.sched = s
+	for i, r := range ranks {
+		r.task = s.Spawn(i, func(*sim.Task) {
+			defer c.markDone(i)
+			errs[i] = c.runBody(body, r)
+		})
+		s.Ready(r.task, 0)
+	}
+	func() {
+		defer func() { c.sched = nil }()
+		s.Run()
+	}()
 	// Error selection: a bug-class error wins (first by rank order, the
 	// historical behavior); otherwise, when every error is fault-class,
 	// return the earliest RankFailure — the root cause a restart driver

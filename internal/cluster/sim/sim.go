@@ -1,27 +1,37 @@
-// Package sim is the discrete-event core of the cluster simulator's
-// DES backend: a single-threaded cooperative scheduler driving one
-// task per simulated rank (or rank stream) off a priority event queue.
+// Package sim is the scheduler under the cluster simulator: it runs
+// one task per simulated rank (or rank stream), and the simulator's
+// blocking primitives (the collective rendezvous, the point-to-point
+// mailbox, the bounded stage queues, stream joins) are written once
+// against its two operations — a waiter parks itself (Task.Park) and
+// whoever satisfies the wait readies it (Sched.Ready). The scheduler
+// runs in one of two modes; the primitives cannot tell them apart.
 //
-// Exactly one task runs at any moment. A task runs until it blocks on
-// a simulated synchronization point (a collective rendezvous, a
-// point-to-point match, a bounded stage queue), parks itself, and
-// hands control back to the scheduler, which pops the next event and
-// resumes its task. Tasks are implemented as goroutines for their
-// stacks only — the resume/yield channel handoff guarantees a single
-// runnable goroutine, so scheduler and simulator state need no locks
-// and the race detector sees a clean happens-before chain through the
-// channels.
+// The discrete-event mode (New) is a single-threaded cooperative
+// scheduler driven off a priority event queue. Exactly one task runs at
+// any moment. A task runs until it blocks on a simulated
+// synchronization point, parks itself, and hands control back to the
+// scheduler, which pops the next event and resumes its task. Tasks are
+// implemented as goroutines for their stacks only — the resume/yield
+// channel handoff guarantees a single runnable goroutine.
 //
 // Events are ordered by Key = (time, rank, seq): simulated seconds
 // first, then rank id, then a global monotonically increasing sequence
 // number assigned when the event is pushed. The (rank, seq) tail makes
 // ties — ubiquitous in a bulk-synchronous program, where every member
 // of a collective wakes at the same simulated instant — deterministic,
-// so a DES run is a pure function of the program, never of goroutine
-// scheduling.
+// so a discrete-event run is a pure function of the program, never of
+// goroutine scheduling.
+//
+// The free mode (NewFree) runs every task as an ordinary goroutine
+// that the Go runtime schedules in parallel. Park waits for a wake
+// token and Ready hands one over, so a Ready that arrives before its
+// Park is not lost; the simulated time passed to Ready is ignored.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Key orders events: simulated time, then rank, then push sequence.
 type Key struct {
@@ -92,22 +102,32 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// Task is one cooperative thread of simulated execution (a rank body
-// or one of its forked streams).
+// Task is one thread of simulated execution (a rank body or one of
+// its forked streams).
 type Task struct {
 	// Rank is the simulated rank id used for event tie-breaking.
 	Rank int
 
-	s      *Sched
+	s *Sched
+	// resume carries the run token: an unbuffered handoff from the
+	// event loop in discrete-event mode, a one-slot wake token in free
+	// mode.
 	resume chan struct{}
-	// queued guards against double-Ready: a task already holding an
-	// event in the queue must not be pushed again.
+	// queued guards against double-Ready in discrete-event mode: a
+	// task already holding an event in the queue must not be pushed
+	// again. (Free mode's guard is the full token slot.)
 	queued bool
 }
 
-// Sched is the scheduler: an event queue plus the live-task count.
-// Create one per simulated run with New; it is not reusable.
+// Sched is the scheduler of one simulated run. Create one per run with
+// New or NewFree; it is not reusable.
 type Sched struct {
+	// free selects free mode; the fields below it belong to one mode
+	// each.
+	free bool
+	// tasks counts free-mode tasks that have not finished.
+	tasks sync.WaitGroup
+
 	q    eventQueue
 	seq  uint64
 	live int
@@ -118,20 +138,36 @@ type Sched struct {
 	// trap records the first panic that escaped a task body; Run
 	// rethrows it on the scheduler goroutine once the loop drains, so
 	// an un-recovered simulated-program panic still crashes the
-	// process with its diagnostic (matching the goroutine backend)
-	// instead of wedging the event loop.
+	// process with its diagnostic instead of wedging the event loop.
 	trap any
 }
 
-// New returns an empty scheduler.
+// New returns an empty discrete-event scheduler.
 func New() *Sched {
 	return &Sched{yield: make(chan struct{})}
 }
 
+// NewFree returns an empty free-mode scheduler.
+func NewFree() *Sched {
+	return &Sched{free: true}
+}
+
 // Spawn creates a parked task that will execute fn when first readied.
-// fn runs on its own goroutine but only ever while the scheduler has
-// handed it the run token.
+// In discrete-event mode fn runs on its own goroutine but only ever
+// while the scheduler has handed it the run token; in free mode it runs
+// unconstrained, and a panic escaping fn crashes the process like any
+// goroutine's.
 func (s *Sched) Spawn(rank int, fn func(t *Task)) *Task {
+	if s.free {
+		t := &Task{Rank: rank, s: s, resume: make(chan struct{}, 1)}
+		s.tasks.Add(1)
+		go func() {
+			defer s.tasks.Done()
+			<-t.resume
+			fn(t)
+		}()
+		return t
+	}
 	t := &Task{Rank: rank, s: s, resume: make(chan struct{})}
 	s.live++
 	go func() {
@@ -148,11 +184,20 @@ func (s *Sched) Spawn(rank int, fn func(t *Task)) *Task {
 	return t
 }
 
-// Ready schedules t to resume at simulated time tm. Callable from the
-// scheduler's caller (before Run) or from the currently running task;
-// both are single-threaded with respect to the queue. Readying an
-// already-queued task is a scheduling bug and panics.
+// Ready schedules t to resume at simulated time tm. In discrete-event
+// mode it is callable from the scheduler's caller (before Run) or from
+// the currently running task, both single-threaded with respect to the
+// queue; in free mode from any goroutine. Readying a task again before
+// it has resumed is a scheduling bug and panics.
 func (s *Sched) Ready(t *Task, tm float64) {
+	if s.free {
+		select {
+		case t.resume <- struct{}{}:
+		default:
+			panic(fmt.Sprintf("sim: task (rank %d) readied twice", t.Rank))
+		}
+		return
+	}
 	if t.queued {
 		panic(fmt.Sprintf("sim: task (rank %d) readied twice", t.Rank))
 	}
@@ -162,11 +207,13 @@ func (s *Sched) Ready(t *Task, tm float64) {
 }
 
 // Park blocks the calling task until a peer (or the deadlock detector)
-// readies it again. The caller must not hold any lock a concurrently
-// runnable task could need — under this scheduler that means no lock
-// at all, since the resumed peer may be any task.
+// readies it again. The caller must not hold any lock another task
+// could need: the peer that would ready it may first need that lock
+// (and in discrete-event mode, the resumed peer may be any task).
 func (t *Task) Park() {
-	t.s.yield <- struct{}{}
+	if !t.s.free {
+		t.s.yield <- struct{}{}
+	}
 	<-t.resume
 }
 
@@ -174,15 +221,18 @@ func (t *Task) Park() {
 // diagnostics surfaced by the cluster's poisoned-rendezvous errors.
 func (s *Sched) Depth() int { return s.q.Len() }
 
-// Live reports the number of spawned tasks that have not finished.
-func (s *Sched) Live() int { return s.live }
-
-// Run drives the event loop until every spawned task has finished.
-// An empty queue with live tasks is a deadlock: every remaining task
-// is parked with no event that could ever wake it, so Run panics with
-// the queue/live diagnostics (the simulated program's own deadlock
-// detectors usually fire first, with a richer message).
+// Run returns once every spawned task has finished, including tasks
+// spawned by tasks. In free mode it only waits. In discrete-event mode
+// it drives the event loop, and an empty queue with live tasks is a
+// deadlock: every remaining task is parked with no event that could
+// ever wake it, so Run panics with the queue/live diagnostics (the
+// simulated program's own deadlock detectors usually fire first, with
+// a richer message).
 func (s *Sched) Run() {
+	if s.free {
+		s.tasks.Wait()
+		return
+	}
 	for s.live > 0 {
 		if s.q.Len() == 0 {
 			if s.trap != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // TestEventQueuePopsKeyOrder is the determinism property test: however
@@ -149,4 +150,95 @@ func TestSchedulerRethrowsTaskPanic(t *testing.T) {
 	tk := s.Spawn(0, func(tk *Task) { panic("boom") })
 	s.Ready(tk, 0)
 	s.Run()
+}
+
+// startGated spawns a free-mode task that signals started, then blocks
+// on gate before running rest; it returns the task once started. While
+// it sits at the gate the task is running but not parked, so the test
+// controls exactly when its wake token can be consumed.
+func startGated(s *Sched, gate <-chan struct{}, rest func(tk *Task)) *Task {
+	started := make(chan struct{})
+	tk := s.Spawn(0, func(tk *Task) {
+		close(started)
+		<-gate
+		rest(tk)
+	})
+	s.Ready(tk, 0)
+	<-started
+	return tk
+}
+
+// TestFreeReadyBeforeParkNotLost: in free mode a Ready that arrives
+// while the task is still running is kept, and the task's next Park
+// returns at once instead of waiting forever.
+func TestFreeReadyBeforeParkNotLost(t *testing.T) {
+	s := NewFree()
+	gate := make(chan struct{})
+	tk := startGated(s, gate, func(tk *Task) { tk.Park() })
+	s.Ready(tk, 0) // before the Park
+	close(gate)
+	done := make(chan struct{})
+	go func() {
+		s.Run()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Ready issued before Park was lost: the task never woke")
+	}
+}
+
+// TestFreeReadyTwicePanics: readying a free-mode task again before it
+// has consumed the first wake is a scheduling bug and panics.
+func TestFreeReadyTwicePanics(t *testing.T) {
+	s := NewFree()
+	gate := make(chan struct{})
+	tk := startGated(s, gate, func(tk *Task) { tk.Park() })
+	s.Ready(tk, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Ready before the task resumed did not panic")
+			}
+		}()
+		s.Ready(tk, 0)
+	}()
+	close(gate)
+	s.Run()
+}
+
+// TestFreeRunWaitsForSpawnedTasks: Run returns only after every task
+// has finished, including one spawned by another task that outlives
+// its parent.
+func TestFreeRunWaitsForSpawnedTasks(t *testing.T) {
+	s := NewFree()
+	gate := make(chan struct{})
+	childStarted := make(chan struct{})
+	childDone := false
+	parent := s.Spawn(0, func(tk *Task) {
+		child := s.Spawn(1, func(*Task) {
+			close(childStarted)
+			<-gate
+			childDone = true
+		})
+		s.Ready(child, 0)
+	})
+	s.Ready(parent, 0)
+	<-childStarted
+	returned := make(chan struct{})
+	go func() {
+		s.Run()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatal("Run returned while a task spawned by a task was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	<-returned
+	if !childDone {
+		t.Fatal("Run returned before the spawned task finished")
+	}
 }

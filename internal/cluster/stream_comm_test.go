@@ -49,11 +49,7 @@ func TestStreamClonesIsolateCollectives(t *testing.T) {
 		var mainOut, streamOut []float64
 		var mu sync.Mutex
 		res, err := cl.Run(func(r *Rank) error {
-			var wg sync.WaitGroup
-			wg.Add(1)
-			s := r.Stream("prefetch")
-			go func() {
-				defer wg.Done()
+			f := r.ForkStream("prefetch", func(s *Rank) {
 				// The stream's sequence: barrier, then all-reduce.
 				sc := world.ForStream(s)
 				Barrier(sc, s)
@@ -63,7 +59,7 @@ func TestStreamClonesIsolateCollectives(t *testing.T) {
 					streamOut = got
 					mu.Unlock()
 				}
-			}()
+			})
 			// The main sequence: two all-reduces, no barrier.
 			got := AllReduceSum(world.ForStream(r), r, []float64{float64(r.ID)})
 			got2 := AllReduceSum(world, r, got)
@@ -72,7 +68,7 @@ func TestStreamClonesIsolateCollectives(t *testing.T) {
 				mainOut = got2
 				mu.Unlock()
 			}
-			wg.Wait()
+			f.Join(r)
 			return nil
 		})
 		if err != nil {
@@ -162,15 +158,7 @@ func TestAbandonedCollectivePanics(t *testing.T) {
 // communicator from a differently-named stream than the first without
 // tripping the two-streams check.
 func TestDriverBindingsResetAcrossRuns(t *testing.T) {
-	// Pinned to the goroutine backend: the rank body drives a collective
-	// from a raw goroutine and blocks on a raw channel, which a
-	// cooperative DES task must never do (it would hold the run token and
-	// starve the scheduler). ForkStream is the backend-neutral way to get
-	// concurrency inside a rank body; this test deliberately bypasses it
-	// to probe the per-Run driver-binding reset.
-	model := testModel()
-	model.Backend = GoroutineBackend
-	cl := New(2, model)
+	cl := New(2, testModel())
 	world := cl.World()
 	// First run: base comm driven from the main timeline.
 	if _, err := cl.Run(func(r *Rank) error {
@@ -181,13 +169,12 @@ func TestDriverBindingsResetAcrossRuns(t *testing.T) {
 	}
 	// Second run: the same comm driven only from a forked stream.
 	if _, err := cl.Run(func(r *Rank) error {
-		s := r.Stream("prefetch")
-		done := make(chan any, 1)
-		go func() {
-			defer func() { done <- recover() }()
+		var p any
+		r.ForkStream("prefetch", func(s *Rank) {
+			defer func() { p = recover() }()
 			Barrier(world, s)
-		}()
-		if p := <-done; p != nil {
+		}).Join(r)
+		if p != nil {
 			t.Errorf("cross-run driver binding leaked: %v", p)
 		}
 		return nil
@@ -202,32 +189,26 @@ func TestDriverBindingsResetAcrossRuns(t *testing.T) {
 func TestTwoStreamsOneCommPanics(t *testing.T) {
 	cl := New(1, testModel())
 	world := cl.World()
-	msg := make(chan string, 1)
+	var msg string
 	_, err := cl.Run(func(r *Rank) error {
 		Barrier(world, r) // binds the base comm to the main timeline
-		s := r.Stream("prefetch")
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
+		r.ForkStream("prefetch", func(s *Rank) {
 			defer func() {
 				if p := recover(); p != nil {
-					msg <- fmt.Sprint(p)
+					msg = fmt.Sprint(p)
 				}
 			}()
 			Barrier(world, s) // same comm from a second stream
-		}()
-		<-done
+		}).Join(r)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case m := <-msg:
-		if !strings.Contains(m, "two streams") || !strings.Contains(m, "ForStream") {
-			t.Fatalf("driver violation not diagnosed: %q", m)
-		}
-	default:
+	if msg == "" {
 		t.Fatal("driving one comm from two streams did not panic")
+	}
+	if !strings.Contains(msg, "two streams") || !strings.Contains(msg, "ForStream") {
+		t.Fatalf("driver violation not diagnosed: %q", msg)
 	}
 }

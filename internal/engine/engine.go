@@ -8,9 +8,9 @@
 //     inline on the caller's rank, in item order — byte-for-byte the
 //     classic bulk-synchronous loop (sample; fetch; train; sample; ...).
 //   - Overlapped (Overlap on): every stage but the last runs on its
-//     own forked rank stream (cluster.Rank.Stream) in its own
-//     goroutine, connected by bounded channels, so stage s prefetches
-//     item i+1 while stage s+1 works on item i. The last stage runs on
+//     own forked rank stream (cluster.Rank.ForkStream, its own
+//     scheduler task), connected by bounded cluster.Queues, so stage s
+//     prefetches item i+1 while stage s+1 works on item i. The last stage runs on
 //     the caller's main timeline, so the rank's final clock is the
 //     pipeline makespan.
 //
@@ -19,7 +19,7 @@
 // along with the item, and a consumer that outruns its producer stalls
 // (WaitUntil, charged to the PhaseStall bucket) until the item is
 // ready in simulated time. Bounded queues exert the same backpressure
-// on the clocks that they exert on the goroutines: a producer may not
+// on the clocks that they exert on the tasks: a producer may not
 // start item i before the consumer has dequeued item i-q (q = queue
 // capacity), which is what makes a capacity-1 queue model classic
 // double buffering. Epoch time is therefore the max over concurrent

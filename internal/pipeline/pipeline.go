@@ -65,9 +65,9 @@ type Config struct {
 	Topology *cluster.Topology
 
 	// Backend selects the simulator's execution backend (set on
-	// Model.Backend): the goroutine backend runs one goroutine per
-	// rank, the discrete-event backend runs the whole cluster as one
-	// event loop (cluster.DESBackend). Results are bit-identical
+	// Model.Backend): the goroutine backend runs every rank as a
+	// free-running goroutine task, the discrete-event backend runs the
+	// whole cluster as one event loop (cluster.DESBackend). Results are bit-identical
 	// either way; only wall time differs. Zero resolves $GNN_BACKEND,
 	// then goroutines.
 	Backend cluster.Backend
@@ -127,9 +127,11 @@ type Config struct {
 	// completed epochs (0 disables). Each rank charges the checkpoint's
 	// serialized bytes over HostLink at each boundary, so checkpointing
 	// costs simulated time whether or not a failure ever fires. With
-	// Topology == nil and CachePolicy == None, a failed-and-restored
-	// run's Result is bit-identical to an unfailed run with the same
-	// interval (the differential crash-recovery suite pins this).
+	// Topology == nil and CachePolicy None or StaticDegree, a
+	// failed-and-restored run's Result is bit-identical to an unfailed
+	// run with the same interval (the differential crash-recovery suite
+	// pins this). The LRU cache's residency is not checkpointed, so a
+	// restored LRU run re-warms it and may diverge.
 	CkptInterval int
 
 	Seed  int64

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/datasets"
 	"repro/internal/pipeline"
@@ -39,11 +40,13 @@ func recoveryDataset() *datasets.Dataset {
 // training strategies: every trial runs one paper-pipeline config
 // (replicated or 1.5D partitioned) and one Quiver-baseline config.
 //
-// Topology stays nil and the feature cache stays off: the contention
-// ledger and cache-residency state are deliberately not part of a
-// checkpoint (a real restart re-warms its caches), so exact recovery
-// is only promised for the pure α–β model — the same scope as
-// cross-backend bit-identity.
+// Every trial also runs a paper-pipeline config with the static
+// degree cache: its residency is a pure function of the graph, so a
+// restart rebuilds exactly what the failed attempt had. Topology stays
+// nil and the LRU cache stays out: the contention ledger and LRU
+// residency are deliberately not part of a checkpoint (a real restart
+// re-warms its caches), so exact recovery is only promised without
+// them — the same topology scope as cross-backend bit-identity.
 func TestDifferentialCrashRecovery(t *testing.T) {
 	trials := 120
 	if testing.Short() {
@@ -68,6 +71,8 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 	// The Quiver trials draw from their own stream, so adding them left
 	// the pipeline trials' draws unchanged.
 	qrng := rand.New(rand.NewSource(20261017))
+	// The static-cache trials likewise draw from a third stream.
+	srng := rand.New(rand.NewSource(20261018))
 
 	// differential runs one configuration clean and with a failure plan
 	// drawn inside the clean run's simulated span, and reports whether
@@ -121,8 +126,8 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 		return rec.Attempts >= 2
 	}
 
-	fired, qfired := 0, 0
-	for trial := 0; trial < trials; trial++ {
+	// drawConfig draws one random paper-pipeline configuration.
+	drawConfig := func(rng *rand.Rand) pipeline.Config {
 		ps := []int{2, 4, 8}
 		cfg := pipeline.Config{
 			P:           ps[rng.Intn(len(ps))],
@@ -148,6 +153,27 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 		} else {
 			cfg.Overlap = rng.Intn(2) == 1
 		}
+		return cfg
+	}
+
+	runPipeline := func(cfg pipeline.Config, be cluster.Backend) func(*cluster.FaultPlan) *pipeline.Result {
+		return func(faults *cluster.FaultPlan) *pipeline.Result {
+			c := cfg
+			c.Backend, c.Faults = be, faults
+			res, err := pipeline.Run(d, c)
+			if err != nil {
+				t.Fatalf("%+v backend=%v: %v", c, be, err)
+			}
+			return res
+		}
+	}
+
+	fired, qfired, sfired := 0, 0, 0
+	for trial := 0; trial < trials; trial++ {
+		cfg := drawConfig(rng)
+		scfg := drawConfig(srng)
+		scfg.CachePolicy = cache.StaticDegree
+		scfg.CacheFrac = 0.05 + 0.45*srng.Float64()
 
 		qps := []int{1, 2, 3, 4, 8}
 		qcfg := baseline.QuiverConfig{
@@ -162,16 +188,12 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 
 		for _, be := range []cluster.Backend{cluster.GoroutineBackend, cluster.DESBackend} {
 			if differential(fmt.Sprintf("backend=%v %+v", be, cfg), trial, cfg.P, cfg.CkptInterval, rng,
-				func(faults *cluster.FaultPlan) *pipeline.Result {
-					c := cfg
-					c.Backend, c.Faults = be, faults
-					res, err := pipeline.Run(d, c)
-					if err != nil {
-						t.Fatalf("%+v backend=%v: %v", c, be, err)
-					}
-					return res
-				}) {
+				runPipeline(cfg, be)) {
 				fired++
+			}
+			if differential(fmt.Sprintf("backend=%v static cache %+v", be, scfg), trial, scfg.P, scfg.CkptInterval, srng,
+				runPipeline(scfg, be)) {
+				sfired++
 			}
 			if differential(fmt.Sprintf("backend=%v quiver %+v", be, qcfg), trial, qcfg.P, qcfg.CkptInterval, qrng,
 				func(faults *cluster.FaultPlan) *pipeline.Result {
@@ -190,11 +212,12 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 	// The window [5%, 75%] of the clean simulated span should make the
 	// vast majority of injected failures fire; if almost none did, the
 	// suite is silently testing nothing.
-	if fired < trials || qfired < trials {
-		t.Fatalf("only %d (pipeline) and %d (quiver) of %d trial-backend runs each actually fired a failure; the injection window is wrong",
-			fired, qfired, 2*trials)
+	if fired < trials || qfired < trials || sfired < trials {
+		t.Fatalf("only %d (pipeline), %d (quiver) and %d (static cache) of %d trial-backend runs each actually fired a failure; the injection window is wrong",
+			fired, qfired, sfired, 2*trials)
 	}
-	t.Logf("%d (pipeline) and %d (quiver) of %d trial-backend runs each fired at least one failure", fired, qfired, 2*trials)
+	t.Logf("%d (pipeline), %d (quiver) and %d (static cache) of %d trial-backend runs each fired at least one failure",
+		fired, qfired, sfired, 2*trials)
 }
 
 // TestRecoveryFromScratchDeterministic pins the no-checkpoint restart
